@@ -214,11 +214,8 @@ def _run_reproduce(args):
 # ----------------------------------------------------------------------
 
 def _run_approx(exp):
-    rows = [
-        [c, excursion.p_tube(exp.configuration, exp.law, c),
-         min(1.0, excursion.p_tube(exp.configuration, exp.law, c))]
-        for c in exp.c_grid
-    ]
+    tubes = [excursion.p_tube(exp.configuration, exp.law, c) for c in exp.c_grid]
+    rows = [[c, tube, min(1.0, tube)] for c, tube in zip(exp.c_grid, tubes)]
     out = exp.output or "approx.csv"
     _write_csv(out, ["c", "p_tube", "p_tube_capped"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -353,6 +350,9 @@ def run(argv=None):
             f"error bound {exc.error_bound:.6g})",
             file=sys.stderr,
         )
+        return 2
+    except FloatingPointError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,19 @@ module computes:
 
 All computations reduce to one-dimensional beta-mixture integrals through
 the decomposition of (R_k, R_n - R_k) into R_n times an independent
-Beta(k/2, (n-k)/2) variable.  Averages over normal directions use a fixed
-4096-node trapezoidal rule on the normal circle for n = 3, direct
+Beta(k/2, (n-k)/2) variable.  For each (law, n, c) one cumulative mixture
+is built by Simpson's rule on a fixed grid of 4097 cosine-spaced nodes in
+psi = arcsin(sqrt(y)), dense at both ends of [0, pi/2] where the tail
+varies fastest for small and for large c.  Its total is the marginal, so
+P_tube, P and Delta all come from the same mixture: P_tube - P is the sum
+of the per-point overlap corrections read off the interpolated mixture,
+and Delta is that sum divided by P_tube, never a difference of two
+separately computed probabilities.  Averages over normal directions use a
+fixed 4096-node trapezoidal rule on the normal circle for n = 3, direct
 enumeration of the two normal directions for n = 2, and a fixed-seed
 scrambled Sobol sample of 2^14 directions for n > 3, so all results are
-deterministic.
+deterministic.  Thresholds are solved by Brent's method on log P(c) inside
+a doubling bracket.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -28,12 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sci_integrate
+from scipy import optimize as _sci_optimize
 from scipy import special as _sci_special
 from scipy.interpolate import PchipInterpolator
 from scipy.stats import qmc as _qmc
 
 from .radial_laws import UnsupportedLawError, g_beta
-from .special_functions import QuadratureSpec, find_root, integrate, reg_inc_beta
+from .special_functions import QuadratureSpec, integrate, reg_inc_beta
 
 __all__ = [
     "ExcursionReport",
@@ -53,7 +62,7 @@ __all__ = [
 ]
 
 PHI_NODES = 4096        # trapezoidal nodes on the normal circle (n = 3)
-PSI_NODES = 4097        # Simpson nodes for the cumulative beta-mixture
+PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mixture
 QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
 _QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
 
@@ -75,13 +84,14 @@ def _mixture_weight(psi, p, q):
 class _BetaMixture:
     """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{p,q}(y).
 
-    Built once per (law, n, k, c) on a fixed Simpson grid in the substituted
-    variable psi = arcsin(sqrt(y)); evaluation interpolates monotonically.
+    Built once per (law, n, k, c) on a fixed cosine-spaced Simpson grid in
+    the substituted variable psi = arcsin(sqrt(y)); evaluation interpolates
+    monotonically.
     """
 
     def __init__(self, law, n, k, c):
         p, q = k / 2.0, (n - k) / 2.0
-        psi = np.linspace(0.0, math.pi / 2.0, PSI_NODES)
+        psi = math.pi / 4.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
         y = np.sin(psi) ** 2
         values = np.zeros(PSI_NODES)
         values[1:] = law.tail(c * c / y[1:])
@@ -103,23 +113,9 @@ def _mixture(law, n, k, c):
     return _BetaMixture(law, n, k, c)
 
 
-# Tolerances sit well below every reported probability scale; failures to
-# reach them raise QuadratureError rather than returning silently.
-_MARGINAL_QUADRATURE = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=300)
+# The tolerances sit well below every reported ratio scale; failing to reach
+# them raises QuadratureError rather than returning silently.
 _RATIO_QUADRATURE = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=400)
-
-
-def _marginal_positive(law, n, c):
-    """Pr(<u, xi> >= c) for c > 0 by adaptive quadrature of the mixture."""
-    p, q = 0.5, (n - 1) / 2.0
-
-    def integrand(psi):
-        y = math.sin(psi) ** 2
-        if y <= 0.0:
-            return 0.0
-        return float(_mixture_weight(psi, p, q) * law.tail(c * c / y))
-
-    return 0.5 * integrate(integrand, 0.0, math.pi / 2.0, _MARGINAL_QUADRATURE)
 
 
 def marginal_tail(law, n, c):
@@ -134,7 +130,7 @@ def marginal_tail(law, n, c):
         return 0.5
     if c < 0.0:
         return 1.0 - marginal_tail(law, n, -c)
-    return _marginal_positive(law, n, c)
+    return 0.5 * _mixture(law, n, 1, c).total
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +184,30 @@ def p_tube(config, law, c):
     return config.n_points * marginal_tail(law, config.dim, c)
 
 
-def _corrections(config, law, c):
-    """Per-point overlap corrections; their sum is P_tube - P."""
+def _tube_and_corrections(config, law, c):
+    """P_tube, the correction sum P_tube - P, and its standard error.
+
+    Everything comes from the one mixture of (law, n, c): its total gives
+    the tube sum, and one pass over the normal-direction profiles gives the
+    per-point overlap corrections and the Monte Carlo standard error of
+    their direction averages (zero on the deterministic n <= 3 paths).
+    """
+    tube = p_tube(config, law, c)
     mix = _mixture(law, config.dim, 1, c)
-    profiles = _normal_profiles(config)
-    return [0.5 * float(np.mean(mix.partial(a))) for a in profiles]
+    corrections = var = 0.0
+    for a in _normal_profiles(config):
+        vals = 0.5 * mix.partial(a)
+        corrections += float(np.mean(vals))
+        var += np.var(vals) / vals.size
+    return tube, corrections, math.sqrt(var) if config.dim > 3 else 0.0
+
+
+def _relative_error(tube, corrections, c):
+    if tube <= 0.0:
+        raise FloatingPointError(
+            f"P_tube underflows to 0 at c={c:.6g}; the relative error is undefined"
+        )
+    return corrections / tube
 
 
 def p_exact(config, law, c, with_se=False):
@@ -204,29 +219,18 @@ def p_exact(config, law, c, with_se=False):
     Monte Carlo standard error of the direction average (zero on the
     deterministic n <= 3 paths).
     """
-    if c <= 0.0:
-        raise ValueError("threshold must be positive")
-    tube = p_tube(config, law, c)
-    corrections = _corrections(config, law, c)
-    value = tube - sum(corrections)
-    if not with_se:
-        return value
-    if config.dim <= 3:
-        return value, 0.0
-    mix = _mixture(law, config.dim, 1, c)
-    var = 0.0
-    for a in _normal_profiles(config):
-        vals = 0.5 * mix.partial(a)
-        var += np.var(vals) / vals.size
-    return value, math.sqrt(var)
+    tube, corrections, se = _tube_and_corrections(config, law, c)
+    value = tube - corrections
+    return (value, se) if with_se else value
 
 
 def delta_exact(config, law, c):
-    """Relative error (P_tube - P) / P_tube of the Bonferroni approximation."""
-    tube = p_tube(config, law, c)
-    if tube <= 0.0:
-        raise ValueError("Bonferroni sum vanishes; relative error undefined")
-    return sum(_corrections(config, law, c)) / tube
+    """Relative error (P_tube - P) / P_tube of the Bonferroni approximation.
+
+    Raises ``FloatingPointError`` when P_tube underflows to 0.
+    """
+    tube, corrections, _ = _tube_and_corrections(config, law, c)
+    return _relative_error(tube, corrections, c)
 
 
 def delta_rv_limit(config, gamma):
@@ -400,28 +404,38 @@ def solve_threshold(config, law, target, method="tube"):
 
     ``method`` selects the Bonferroni sum (``"tube"``, raw, uncapped) or the
     exact probability (``"exact"``).  The upper bracket doubles until the
-    probability falls below the target, then bisection refines it.
+    probability falls below the target, then Brent's method finds the root
+    of log P(c) - log(target), which is close to linear in the tail.
     """
     if method == "tube":
-        fn = lambda c: p_tube(config, law, c)
+        prob = p_tube
     elif method == "exact":
-        fn = lambda c: p_exact(config, law, c)
+        prob = p_exact
     else:
         raise ValueError("method must be 'tube' or 'exact'")
     lo = 1e-6
-    p_lo = fn(lo)
+    p_lo = prob(config, law, lo)
     if not 0.0 < target < min(1.0, p_lo):
         raise ValueError(
             f"target {target} is not attainable (must lie in (0, {min(1.0, p_lo):.6g}))"
         )
     hi = 1.0
     for _ in range(200):
-        if fn(hi) < target:
+        if prob(config, law, hi) < target:
             break
         hi *= 2.0
     else:
         raise ValueError("failed to bracket the threshold")
-    return find_root(lambda c: fn(c) - target, lo, hi)
+
+    def log_excess(c):
+        value = prob(config, law, c)
+        if value <= 0.0:
+            raise ValueError(
+                f"P underflows to 0 at c={c:.6g} while solving for target {target}"
+            )
+        return math.log(value) - math.log(target)
+
+    return _sci_optimize.brentq(log_excess, lo, hi, xtol=1e-10 * (1.0 + hi))
 
 
 def tail_dependence(config, law):
@@ -460,10 +474,13 @@ class ExcursionReport:
 
 
 def build_report(config, law, c):
-    """Evaluate every analytic quantity at one threshold."""
-    tube = p_tube(config, law, c)
-    exact = p_exact(config, law, c)
-    delta = (tube - exact) / tube
+    """Evaluate every analytic quantity at one threshold.
+
+    Raises ``FloatingPointError`` when P_tube underflows to 0.
+    """
+    tube, corrections, _ = _tube_and_corrections(config, law, c)
+    exact = tube - corrections
+    delta = _relative_error(tube, corrections, c)
     flags = []
     desc = law.class_descriptor()
     if desc.regularly_varying:

@@ -50,27 +50,26 @@ class SimulationResult:
     config_digest: str
 
 
-def _tmax_chunk(config, law, generator, size):
-    r_sq = law.sample(generator, size)
-    z = generator.standard_normal((size, config.dim))
-    eta = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return np.sqrt(r_sq) * (eta @ config.points.T).max(axis=1)
+def _tmax_chunks(config, law, trials, seed):
+    """Yield the field maxima max_i <u_i, xi> of ``trials`` draws, chunk by chunk.
+
+    Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws from the Philox generator
+    keyed by ``(seed, j)``.
+    """
+    for chunk_index, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        size = min(CHUNK_TRIALS, trials - start)
+        generator = _chunk_generator(seed, chunk_index)
+        r_sq = law.sample(generator, size)
+        z = generator.standard_normal((size, config.dim))
+        eta = z / np.linalg.norm(z, axis=1, keepdims=True)
+        yield np.sqrt(r_sq) * (eta @ config.points.T).max(axis=1)
 
 
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    out = np.empty(trials)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        size = min(CHUNK_TRIALS, trials - done)
-        gen = _chunk_generator(seed, chunk_index)
-        out[done : done + size] = _tmax_chunk(config, law, gen, size)
-        done += size
-        chunk_index += 1
-    return out
+    return np.concatenate(list(_tmax_chunks(config, law, trials, seed)))
 
 
 def simulate_pmax(config, law, c_grid, trials, seed):
@@ -91,18 +90,11 @@ def simulate_pmax(config, law, c_grid, trials, seed):
         raise ValueError("trials must be at least 1")
 
     counts = np.zeros(c_grid.size, dtype=np.int64)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        size = min(CHUNK_TRIALS, trials - done)
-        gen = _chunk_generator(seed, chunk_index)
-        tmax = _tmax_chunk(config, law, gen, size)
+    for tmax in _tmax_chunks(config, law, trials, seed):
         # index of the first grid value above tmax = number of thresholds met
         reach = np.searchsorted(c_grid, tmax, side="right")
         hist = np.bincount(reach, minlength=c_grid.size + 1)
         counts += hist[::-1].cumsum()[::-1][1:]
-        done += size
-        chunk_index += 1
 
     estimates = counts / trials
     std_errors = np.sqrt(estimates * (1.0 - estimates) / trials)

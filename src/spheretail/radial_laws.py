@@ -45,14 +45,12 @@ class TailClass:
     the tail is asymptotically ``exp(-integral of ell(t)/t^beta)`` with
     ``ell -> gamma``.  ``ell0_const`` holds the representative slowly varying
     term when it is constant; ``None`` means the logarithmic representative
-    ``log t``.  ``c_limit`` records the limiting constant descriptively (it
-    cancels from every implemented ratio and is never evaluated).
+    ``log t``.
     """
 
     beta: float
     gamma: float
     ell0_const: float | None
-    c_limit: str
     regularly_varying: bool
 
     def ell0(self, t):
@@ -151,7 +149,7 @@ class ChiSquare(RadialLaw):
         return rng.gamma(self.nu / 2.0, 2.0, size)
 
     def class_descriptor(self):
-        return TailClass(0.0, 0.5, 0.5, "power-of-x prefactor of the chi-square tail", False)
+        return TailClass(0.0, 0.5, 0.5, False)
 
     def _r_beta_limit(self, logy):
         return (self.nu - 2.0) / 2.0 * logy
@@ -175,7 +173,7 @@ class Chi(RadialLaw):
         return np.sqrt(rng.gamma(self.nu / 2.0, 2.0, size))
 
     def class_descriptor(self):
-        return TailClass(-1.0, 1.0, 1.0, "power prefactor of the chi tail", False)
+        return TailClass(-1.0, 1.0, 1.0, False)
 
 
 @dataclass(frozen=True)
@@ -200,10 +198,7 @@ class FDist(RadialLaw):
         return num / den
 
     def class_descriptor(self):
-        return TailClass(
-            1.0, self.nu2 / 2.0, self.nu2 / 2.0,
-            "ratio-of-gammas prefactor", True,
-        )
+        return TailClass(1.0, self.nu2 / 2.0, self.nu2 / 2.0, True)
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,7 @@ class LogNormal(RadialLaw):
         return np.exp(rng.standard_normal(size))
 
     def class_descriptor(self):
-        return TailClass(1.0, math.inf, None, "1/sqrt(2 pi) over log x", False)
+        return TailClass(1.0, math.inf, None, False)
 
     def _r_beta_limit(self, logy):
         return 0.5 * logy**2
@@ -286,7 +281,7 @@ class Bessel(RadialLaw):
         return rng.gamma(self.nu1 / 2.0, 2.0, size) * rng.gamma(self.nu2 / 2.0, 2.0, size)
 
     def class_descriptor(self):
-        return TailClass(0.5, 0.5, 0.5, "power-times-exponential prefactor", False)
+        return TailClass(0.5, 0.5, 0.5, False)
 
     def _r_beta_limit(self, logy):
         return (self.nu1 + self.nu2 - 3.0) / 4.0 * logy

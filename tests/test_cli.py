@@ -150,6 +150,18 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "0.1" in err
 
+    def test_underflowing_relative_error_exit_code(self, tmp_path, capsys):
+        # the Gaussian tail underflows to 0 at c = 40, leaving Delta undefined
+        cfg = write_config(tmp_path / "cfg.json")
+        grid = ["--c-grid", "40:41:1", "--out", str(tmp_path / "x.csv")]
+        for argv in (
+            ["error", "--config", str(cfg)],
+            ["reproduce", "--case", "gauss", "--trials", "100"],
+        ):
+            assert cli.run(argv + grid) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
+
 
 class TestReproduce:
     def test_golden_bit_identical(self, tmp_path):

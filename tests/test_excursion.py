@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc, ndtr
+from scipy.special import betainc, erfc, ndtr
 
 from spheretail import (
     Bessel,
@@ -91,6 +91,11 @@ class TestPTube:
         with pytest.raises(ValueError):
             p_tube(benchmark_config, t_law, 0.0)
 
+    def test_gaussian_deep_tail_matches_normal_tail(self, benchmark_config, gauss_law):
+        for c in (10.0, 20.0):
+            expected = 1.5 * erfc(c / math.sqrt(2.0))
+            assert p_tube(benchmark_config, gauss_law, c) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
 
 class TestPExact:
     def test_single_point_equals_marginal(self, single_point, t_law):
@@ -164,6 +169,10 @@ class TestDeltaExact:
         for c in (0.5, 2.0, 6.0):
             d = delta_exact(benchmark_config, t_law, c)
             assert 0.0 <= d < 1.0
+
+    def test_underflowing_tube_is_a_numerical_failure(self, benchmark_config, gauss_law):
+        with pytest.raises(FloatingPointError, match="c=40"):
+            delta_exact(benchmark_config, gauss_law, 40.0)
 
 
 class TestRegularlyVaryingLimit:
@@ -415,6 +424,13 @@ class TestThresholdSolving:
         with pytest.raises(ValueError, match="method"):
             solve_threshold(benchmark_config, t_law, 0.05, method="simulate")
 
+    def test_underflow_at_bracket_end_names_target_and_threshold(
+        self, benchmark_config, gauss_law
+    ):
+        # the doubling bracket stops at c = 64, where the Gaussian tail is 0
+        with pytest.raises(ValueError, match=r"c=64.*target 1e-300"):
+            solve_threshold(benchmark_config, gauss_law, 1e-300, method="tube")
+
 
 class TestTailDependence:
     def test_gaussian_pair_is_independent(self, pair_config):
@@ -499,3 +515,19 @@ class TestReports:
         assert report.p_tube > 1.0
         assert report.p_tube_capped == 1.0
         assert report.p_exact <= 1.0
+
+    def test_report_matches_exact_probability_and_error(self, benchmark_config, t_law):
+        for c in (1.0, 6.0):
+            report = build_report(benchmark_config, t_law, c)
+            assert report.p_exact == p_exact(benchmark_config, t_law, c)
+            assert report.delta_exact == delta_exact(benchmark_config, t_law, c)
+
+    @pytest.mark.parametrize(
+        "c, expected",
+        # mpmath inclusion-exclusion over the equicorrelated normal orthant
+        # probabilities of two and three points, 30-digit working precision
+        [(10.0, 5.914812000050609e-15), (20.0, 2.4565137508299954e-54)],
+    )
+    def test_gaussian_deep_tail_error(self, benchmark_config, gauss_law, c, expected):
+        report = build_report(benchmark_config, gauss_law, c)
+        assert report.delta_exact == pytest.approx(expected, rel=1e-4, abs=0.0)
