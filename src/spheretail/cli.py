@@ -107,7 +107,31 @@ def _write_csv(path, header, rows):
 
 
 def _log(value):
+    """Natural log of a CSV cell: -inf at or below 0, nan passes through."""
+    if math.isnan(value):
+        return value
     return math.log(value) if value > 0.0 else -math.inf
+
+
+def _report_cells(report):
+    """The CSV cells of one ``ExcursionReport``, by column name."""
+    return {
+        "c": report.c,
+        "p_tube": report.p_tube,
+        "p_tube_capped": report.p_tube_capped,
+        "p_exact": report.p_exact,
+        "p_lower": report.p_lower,
+        "log_p_tube": _log(report.p_tube),
+        "log_p_exact": _log(report.p_exact),
+        "log_p_lower": _log(report.p_lower),
+        "delta_exact": report.delta_exact,
+        "delta_pred": report.delta_prediction,
+        "delta_bar": report.delta_bar,
+        "log_delta_exact": _log(report.delta_exact),
+        "log_delta_pred": _log(report.delta_prediction),
+        "branch": report.branch,
+        "flags": report.flags,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -173,36 +197,18 @@ def _run_reproduce(args):
     sim = montecarlo.simulate_pmax(configuration, law, grid, trials, seed)
     rows = []
     for j, c in enumerate(grid):
-        report = excursion.build_report(configuration, law, c)
+        cells = _report_cells(excursion.build_report(configuration, law, c))
         p_hat = float(sim.estimates[j])
         se = float(sim.standard_errors[j])
-        delta_sim = (report.p_tube - p_hat) / report.p_tube
-        rows.append(
-            [
-                c,
-                p_hat,
-                se,
-                report.p_tube,
-                report.p_tube_capped,
-                report.p_exact,
-                report.p_lower,
-                _log(p_hat),
-                _log(report.p_tube),
-                _log(report.p_exact),
-                _log(report.p_lower) if not math.isnan(report.p_lower) else math.nan,
-                report.delta_exact,
-                delta_sim,
-                se / report.p_tube,
-                report.delta_prediction,
-                report.delta_bar,
-                _log(report.delta_exact),
-                _log(report.delta_prediction)
-                if not math.isnan(report.delta_prediction)
-                else math.nan,
-                report.branch,
-                report.flags,
-            ]
+        tube = cells["p_tube"]
+        cells.update(
+            p_sim=p_hat,
+            se_sim=se,
+            log_p_sim=_log(p_hat),
+            delta_sim=(tube - p_hat) / tube,
+            se_delta_sim=se / tube,
         )
+        rows.append([cells[name] for name in _REPRODUCE_HEADER])
     out = args.out or f"reproduce_{args.case}.csv"
     _write_csv(out, _REPRODUCE_HEADER, rows)
     print(f"wrote {out} ({len(rows)} rows, trials={trials}, seed={seed})")
@@ -246,30 +252,17 @@ def _run_simulate(exp):
     return 0
 
 
+_ERROR_HEADER = ["c", "p_tube", "p_tube_capped", "p_exact", "p_lower",
+                 "delta_exact", "delta_pred", "branch", "flags"]
+
+
 def _run_error(exp):
     rows = []
     for c in exp.c_grid:
-        report = excursion.build_report(exp.configuration, exp.law, c)
-        rows.append(
-            [
-                report.c,
-                report.p_tube,
-                report.p_tube_capped,
-                report.p_exact,
-                report.p_lower,
-                report.delta_exact,
-                report.delta_prediction,
-                report.branch,
-                report.flags,
-            ]
-        )
+        cells = _report_cells(excursion.build_report(exp.configuration, exp.law, c))
+        rows.append([cells[name] for name in _ERROR_HEADER])
     out = exp.output or "error.csv"
-    _write_csv(
-        out,
-        ["c", "p_tube", "p_tube_capped", "p_exact", "p_lower",
-         "delta_exact", "delta_pred", "branch", "flags"],
-        rows,
-    )
+    _write_csv(out, _ERROR_HEADER, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

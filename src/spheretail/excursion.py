@@ -20,12 +20,10 @@ varies fastest for small and for large c.  Its total is the marginal, so
 P_tube, P and Delta all come from the same mixture: P_tube - P is the sum
 of the per-point overlap corrections read off the interpolated mixture,
 and Delta is that sum divided by P_tube, never a difference of two
-separately computed probabilities.  Averages over normal directions use a
-fixed 4096-node trapezoidal rule on the normal circle for n = 3, direct
-enumeration of the two normal directions for n = 2, and a fixed-seed
-scrambled Sobol sample of 2^14 directions for n > 3, so all results are
-deterministic.  Thresholds are solved by Brent's method on log P(c) inside
-a doubling bracket.
+separately computed probabilities.  Averages over normal directions use
+the fixed equal-weight rule of ``PointConfiguration.normal_directions``,
+so all results are deterministic.  Thresholds are solved by Brent's
+method on log P(c) inside a doubling bracket.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -39,7 +37,6 @@ from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
 from scipy import special as _sci_special
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import qmc as _qmc
 
 from .radial_laws import UnsupportedLawError, g_beta
 from .special_functions import QuadratureSpec, integrate, reg_inc_beta
@@ -61,10 +58,7 @@ __all__ = [
     "build_report",
 ]
 
-PHI_NODES = 4096        # trapezoidal nodes on the normal circle (n = 3)
 PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mixture
-QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
-_QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
 
 
 # ----------------------------------------------------------------------
@@ -139,34 +133,17 @@ def marginal_tail(law, n, c):
 
 @lru_cache(maxsize=64)
 def _normal_profiles(config):
-    """Per-point arrays of cos^2 local angles over the normal-direction rule.
+    """Per-point arrays of cos^2 local angles over ``config.normal_directions``.
 
-    Returns a list of 1-d arrays (equal-weight nodes).  Deterministic: the
-    circle grid is fixed for n = 3, the two directions are enumerated for
-    n = 2, and the Sobol sample seed is fixed for n > 3.
+    Returns a list of 1-d arrays (equal-weight nodes); a single point has
+    the one profile [0].
     """
-    profiles = []
-    for i in range(config.n_points):
-        if config.n_points == 1:
-            profiles.append(np.zeros(1))
-        elif config.dim == 2:
-            v0 = config.nearest_neighbor_direction(i)
-            dirs = np.vstack([v0, -v0])
-            profiles.append(config.cos_sq_local_angle(i, dirs))
-        elif config.dim == 3:
-            v0 = config.nearest_neighbor_direction(i)
-            w = np.cross(config.points[i], v0)
-            phi = np.arange(PHI_NODES) * (2.0 * math.pi / PHI_NODES)
-            dirs = np.outer(np.cos(phi), v0) + np.outer(np.sin(phi), w)
-            profiles.append(config.cos_sq_local_angle(i, dirs))
-        else:
-            sob = _qmc.Sobol(d=config.dim, scramble=True, seed=_QMC_SEED)
-            z = _sci_special.ndtri(sob.random_base2(QMC_LOG2_POINTS))
-            u = config.points[i]
-            z = z - np.outer(z @ u, u)
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            profiles.append(config.cos_sq_local_angle(i, z))
-    return profiles
+    if config.n_points == 1:
+        return [np.zeros(1)]
+    return [
+        config.cos_sq_local_angle(i, config.normal_directions(i))
+        for i in range(config.n_points)
+    ]
 
 
 # ----------------------------------------------------------------------

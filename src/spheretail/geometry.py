@@ -1,27 +1,34 @@
 """Finite point configurations on the unit sphere and their metric geometry.
 
 A configuration is a set of N unit vectors in R^n together with its Gram
-(correlation) matrix.  The module computes the local projection-uniqueness
-angle in a given normal direction, the critical radius of the set, the
-multiplicity of the closest pair, and parameterizes or samples the normal
-sphere at each point.
+(correlation) matrix.  The module computes the squared cosine of the local
+projection-uniqueness angle over an array of normal directions, the
+critical radius of the set, the multiplicity of the closest pair, and, in
+``PointConfiguration.normal_directions``, the one fixed equal-weight rule
+of directions on the normal sphere at each point (two directions for
+n = 2, a trapezoidal circle for n = 3, a seeded Sobol sample for n > 3).
 
-Configurations are immutable after construction; every operation is pure,
-and sampling takes an explicit generator.
+Configurations are immutable after construction and every operation is
+pure and deterministic.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy import special
+from scipy.stats import qmc
 
 __all__ = ["PointConfiguration", "RHO_TIE_TOL"]
 
 _UNIT_TOL = 1e-12
 _GRAM_TOL = 1e-12
 _PSD_TOL = 1e-10
-_ORTHO_TOL = 1e-10
+
+PHI_NODES = 4096        # trapezoidal nodes on the normal circle (n = 3)
+QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
+_QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
 
 # Tolerance for deciding that a pair attains the maximal correlation; shared
 # by the multiplicity count and the bound computations.
@@ -189,37 +196,13 @@ class PointConfiguration:
         cot = ratios.max(axis=0)
         return np.where(cot > 0.0, cot**2 / (1.0 + cot**2), 0.0)
 
-    def local_angle(self, i, v):
-        """Projection-uniqueness angle at point ``i`` in normal direction ``v``.
-
-        Returns a value in (0, pi/2]; pi/2 when the cotangent rule gives a
-        nonpositive maximum (and for a single point, by convention).
-
-        Raises
-        ------
-        ValueError
-            If ``v`` is not a unit vector orthogonal to ``u_i``.
-        """
-        v = np.asarray(v, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > _ORTHO_TOL:
-            raise ValueError("normal direction must be a unit vector")
-        if abs(float(self.points[i] @ v)) > _ORTHO_TOL:
-            raise ValueError("normal direction must be orthogonal to the point")
-        if self.n_points == 1:
-            return math.pi / 2.0
-        others = [j for j in range(self.n_points) if j != i]
-        rho_i = self.correlation[i, others]
-        cot = float(np.max((self.points[others] @ v) / (1.0 - rho_i)))
-        if cot <= 0.0:
-            return math.pi / 2.0
-        return math.atan2(1.0, cot)
-
     def nearest_neighbor_direction(self, i):
         """Unit tangent at ``u_i`` toward its nearest neighbor.
 
         Ties are broken by the lowest neighbor index.  For an antipodal
         nearest neighbor the tangent is not unique and a deterministic
-        orthogonal direction is returned.
+        orthogonal direction is returned: the second column of the QR
+        factor of ``[u_i, I]``.
         """
         if self.n_points < 2:
             raise ValueError("a neighbor direction requires at least two points")
@@ -229,61 +212,46 @@ class PointConfiguration:
         v0 = self.points[jstar] - self.correlation[i, jstar] * self.points[i]
         norm = np.linalg.norm(v0)
         if norm < 1e-12:
-            return self._orthonormal_completion(i)[0]
+            return np.linalg.qr(np.column_stack([self.points[i], np.eye(self.dim)]))[0][:, 1]
         return v0 / norm
 
-    def _orthonormal_completion(self, i, v0=None):
-        """Deterministic orthonormal basis of the normal space at ``u_i``.
+    def normal_directions(self, i):
+        """Equal-weight unit directions orthogonal to ``u_i``, shape (m, n).
 
-        The first column is ``v0`` when given.
+        This is the one direction rule behind every average over the
+        normal sphere at a point.  With ``v0`` the direction toward the
+        nearest neighbor (``nearest_neighbor_direction``):
+
+        * n = 2: the two normal directions ``[v0, -v0]``;
+        * n = 3: ``PHI_NODES`` trapezoidal nodes
+          ``cos(phi) v0 + sin(phi) (u_i x v0)`` at ``phi = 2 pi j / PHI_NODES``;
+        * n > 3: the fixed-seed scrambled Sobol sample of
+          ``2**QMC_LOG2_POINTS`` Gaussian vectors, projected onto the
+          normal sphere.
+
+        The rule is fixed, so every average over it is deterministic.  For
+        n <= 3 it is anchored at ``v0`` and needs at least two points.
         """
-        cols = [self.points[i]]
-        if v0 is not None:
-            cols.append(v0)
-        basis = np.column_stack(cols + [np.eye(self.dim)])
-        q = np.linalg.qr(basis)[0]
-        # fix signs so the leading columns reproduce u_i and v0
-        for k, col in enumerate(cols):
-            if q[:, k] @ col < 0:
-                q[:, k] = -q[:, k]
-        return q.T[1:]
-
-    def normal_direction(self, i, phi, h=None):
-        """Point of the normal sphere at ``u_i`` with angular coordinates.
-
-        The direction is ``cos(phi) v0 + sin(phi) sum_k h_k v_k`` where
-        ``v0`` points toward the nearest neighbor and ``(v_k)`` completes an
-        orthonormal basis of the normal space.  For ``n = 3`` the argument
-        ``h`` degenerates to a sign (default +1) and ``phi`` traces the
-        normal circle.
-
-        Raises
-        ------
-        ValueError
-            For ambient dimension 2, where the normal sphere is the two-point
-            set {+v0, -v0} and direct enumeration applies instead.
-        """
-        if self.dim < 3:
-            raise ValueError("normal_direction requires ambient dimension >= 3")
-        v0 = self.nearest_neighbor_direction(i)
-        rest = self._orthonormal_completion(i, v0)[1:]
-        if h is None:
-            h = np.zeros(self.dim - 2)
-            h[0] = 1.0
-        else:
-            h = np.atleast_1d(np.asarray(h, dtype=float))
-            if h.shape != (self.dim - 2,):
-                raise ValueError(f"h must have {self.dim - 2} components")
-            if abs(np.linalg.norm(h) - 1.0) > _ORTHO_TOL:
-                raise ValueError("h must be a unit vector")
-        v = math.cos(phi) * v0 + math.sin(phi) * (h @ rest)
-        return v / np.linalg.norm(v)
-
-    def sample_normal_direction(self, i, rng, size=None):
-        """Uniform draw on the normal sphere at ``u_i`` (Gaussian projection)."""
-        m = 1 if size is None else int(size)
-        z = rng.standard_normal((m, self.dim))
         u = self.points[i]
-        z -= np.outer(z @ u, u)
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        return z[0] if size is None else z
+        if self.dim > 3:
+            z = _sobol_gaussians(self.dim)
+            z = z - np.outer(z @ u, u)
+            return z / np.linalg.norm(z, axis=1, keepdims=True)
+        v0 = self.nearest_neighbor_direction(i)
+        if self.dim == 2:
+            return np.vstack([v0, -v0])
+        phi = np.arange(PHI_NODES) * (2.0 * math.pi / PHI_NODES)
+        return np.outer(np.cos(phi), v0) + np.outer(np.sin(phi), np.cross(u, v0))
+
+
+@lru_cache(maxsize=16)
+def _sobol_gaussians(dim):
+    """Read-only scrambled Sobol sample of 2**QMC_LOG2_POINTS normal vectors in R^dim.
+
+    The seed is fixed, so the sample is drawn once per dimension and shared
+    by every point and configuration.
+    """
+    sobol = qmc.Sobol(d=dim, scramble=True, seed=_QMC_SEED)
+    z = special.ndtri(sobol.random_base2(QMC_LOG2_POINTS))
+    z.setflags(write=False)
+    return z

@@ -153,6 +153,21 @@ class TestPExact:
             assert se > 0.0
             assert abs(value - oracle) <= max(4.0 * se, 1e-5)
 
+    def test_sobol_direction_rule_is_frozen(self):
+        # pins the n > 3 direction rule (seed, sample size, projection) to
+        # the last bit; any change to it moves these values
+        config = PointConfiguration.from_points(
+            [
+                [1.0, 0.0, 0.0, 0.0, 0.0],
+                [0.6, 0.8, 0.0, 0.0, 0.0],
+                [0.0, 0.6, 0.8, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.6, 0.8],
+            ]
+        )
+        value, se = p_exact(config, ChiSquare(5.0), 2.0, with_se=True)
+        assert value == float.fromhex("0x1.48b226dc51835p-4")  # 0.08024802379540648
+        assert se == float.fromhex("0x1.1f89a6a7e893cp-14")  # 6.85543296854761e-05
+
 
 class TestDeltaExact:
     def test_single_point_is_zero(self, single_point, t_law):
@@ -184,7 +199,12 @@ class TestRegularlyVaryingLimit:
         rng = np.random.default_rng(77)
         acc = []
         for i in range(3):
-            dirs = benchmark_config.sample_normal_direction(i, rng, size=10**5)
+            # iid uniform directions on the normal circle, independent of
+            # the fixed rule behind delta_rv_limit
+            u = benchmark_config.points[i]
+            dirs = rng.standard_normal((10**5, 3))
+            dirs -= np.outer(dirs @ u, u)
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             a = benchmark_config.cos_sq_local_angle(i, dirs)
             acc.append(betainc(2.0, 1.0, a))
         acc = np.concatenate(acc)

@@ -11,7 +11,9 @@ from conftest import equicorrelated
 def random_rotation(dim, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.linalg.det(q)  # proper rotation: keeps the orientation of u_i x v0
+    return q
 
 
 class TestConstruction:
@@ -71,18 +73,21 @@ class TestConstruction:
     def test_antipodal_pair_accepted(self):
         config = PointConfiguration.from_points([[1.0, 0.0], [-1.0, 0.0]])
         assert config.rho_star == pytest.approx(-1.0, abs=1e-12)
-        assert config.local_angle(0, np.array([0.0, 1.0])) == pytest.approx(math.pi / 2.0)
+        # the cotangent rule gives angle pi/2 in the only normal direction pair
+        assert np.array_equal(config.cos_sq_local_angle(0, [[0.0, 1.0], [0.0, -1.0]]), [0.0, 0.0])
 
 
 class TestLocalAngle:
     def test_orthogonal_pair_toward_neighbor(self):
         config = PointConfiguration.from_points([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        angle = config.local_angle(0, np.array([0.0, 1.0, 0.0]))
-        assert angle == pytest.approx(math.pi / 4.0, abs=1e-12)
+        a = config.cos_sq_local_angle(0, [0.0, 1.0, 0.0])
+        assert a.shape == (1,)
+        assert a[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_point_convention(self):
         config = PointConfiguration.from_points([[1.0, 0.0, 0.0]])
-        assert config.local_angle(0, np.array([0.0, 1.0, 0.0])) == math.pi / 2.0
+        a = config.cos_sq_local_angle(0, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(a, [0.0, 0.0])
 
     def test_quarter_correlation_toward_neighbor(self):
         u1 = np.array([1.0, 0.0, 0.0])
@@ -90,26 +95,22 @@ class TestLocalAngle:
         config = PointConfiguration.from_points([u1, u2])
         v = u2 - 0.25 * u1
         v /= np.linalg.norm(v)
-        angle = config.local_angle(0, v)
-        assert angle == pytest.approx(math.acos(math.sqrt(5.0 / 8.0)), abs=1e-12)
+        a = float(config.cos_sq_local_angle(0, v)[0])
+        assert a == pytest.approx(5.0 / 8.0, abs=1e-12)
         # independent construction: the geodesic midpoint of the pair
         midpoint = (u1 + u2) / np.linalg.norm(u1 + u2)
-        assert angle == pytest.approx(math.acos(float(u1 @ midpoint)), abs=1e-12)
-
-    def test_validation(self, benchmark_config):
-        u0 = benchmark_config.points[0]
-        with pytest.raises(ValueError, match="unit"):
-            benchmark_config.local_angle(0, np.array([0.0, 2.0, 0.0]))
-        with pytest.raises(ValueError, match="orthogonal"):
-            benchmark_config.local_angle(0, u0)
+        assert a == pytest.approx(float(u1 @ midpoint) ** 2, abs=1e-12)
 
     def test_rotation_invariance(self, benchmark_config):
         rot = random_rotation(3, seed=13)
         rotated = PointConfiguration.from_points(benchmark_config.points @ rot.T)
-        v = benchmark_config.normal_direction(0, 0.7)
-        a = benchmark_config.local_angle(0, v)
-        b = rotated.local_angle(0, rot @ v)
-        assert a == pytest.approx(b, abs=1e-12)
+        for i in range(benchmark_config.n_points):
+            dirs = benchmark_config.normal_directions(i)
+            # the rule is built from the geometry, so it rotates with the points
+            assert np.allclose(rotated.normal_directions(i), dirs @ rot.T, atol=1e-12)
+            a = benchmark_config.cos_sq_local_angle(i, dirs)
+            b = rotated.cos_sq_local_angle(i, dirs @ rot.T)
+            assert np.allclose(a, b, atol=1e-12)
 
 
 class TestCriticalRadius:
@@ -154,83 +155,117 @@ class TestCriticalRadius:
         assert smallest == pytest.approx(benchmark_config.theta_star, abs=1e-6)
 
 
+def circle_angles(config, i):
+    """Angles of the normal directions at u_i in the frame (v0, u_i x v0)."""
+    v0 = config.nearest_neighbor_direction(i)
+    w = np.cross(config.points[i], v0)
+    dirs = config.normal_directions(i)
+    return np.arctan2(dirs @ w, dirs @ v0)
+
+
+def assert_unit_and_normal(config, i, dirs):
+    assert dirs.ndim == 2 and dirs.shape[1] == config.dim
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(dirs @ config.points[i])) <= 1e-12
+
+
 class TestNormalDirections:
     def test_phi_zero_points_at_nearest_neighbor(self, benchmark_config):
-        v = benchmark_config.normal_direction(0, 0.0)
+        dirs = benchmark_config.normal_directions(0)
         v0 = benchmark_config.nearest_neighbor_direction(0)
-        assert np.allclose(v, v0, atol=1e-12)
-        angle = benchmark_config.local_angle(0, v)
-        assert math.cos(angle) ** 2 == pytest.approx((1.0 + 0.25) / 2.0, abs=1e-12)
+        assert dirs.shape == (4096, 3)
+        assert np.allclose(dirs[0], v0, atol=1e-12)
+        a = benchmark_config.cos_sq_local_angle(0, dirs[:1])
+        assert a[0] == pytest.approx((1.0 + 0.25) / 2.0, abs=1e-12)
 
-    def test_construction_is_orthonormal(self, benchmark_config):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            h = np.array([rng.choice([-1.0, 1.0])])
-            v = benchmark_config.normal_direction(0, phi, h)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert abs(float(v @ benchmark_config.points[0])) <= 1e-12
+    def test_construction_is_orthonormal(self, benchmark_config, pair_config):
+        configs = [
+            pair_config,
+            benchmark_config,
+            PointConfiguration.from_points([[1.0, 0.0], [-1.0, 0.0]]),
+            PointConfiguration.from_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            PointConfiguration.from_correlation(equicorrelated(4, 0.2)),
+            PointConfiguration.from_correlation(equicorrelated(10, 0.1)),
+        ]
+        assert [c.dim for c in configs] == [2, 3, 2, 3, 4, 10]
+        for config in configs:
+            for i in range(config.n_points):
+                assert_unit_and_normal(config, i, config.normal_directions(i))
 
     def test_higher_dimension(self):
         config = PointConfiguration.from_correlation(equicorrelated(4, 0.2))
         assert config.dim == 4
-        rng = np.random.default_rng(4)
-        h = rng.standard_normal(2)
-        h /= np.linalg.norm(h)
-        v = config.normal_direction(1, 0.4, h)
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-        assert abs(float(v @ config.points[1])) <= 1e-12
+        first = config.normal_directions(1)
+        assert first.shape == (2**14, 4)
+        first_copy = first.copy()
+        first[:] = 0.0  # the caller owns the returned array
+        assert np.array_equal(config.normal_directions(1), first_copy)
 
     def test_pair_sideways_direction_gives_right_angle(self):
         config = PointConfiguration.from_points([[1.0, 0.0, 0.0], [0.25, math.sqrt(0.9375), 0.0]])
-        v = config.normal_direction(0, math.pi / 2.0)
-        assert config.local_angle(0, v) == pytest.approx(math.pi / 2.0)
+        dirs = config.normal_directions(0)
+        # node 1024 of 4096 sits at phi = pi/2, orthogonal to the neighbor
+        assert config.cos_sq_local_angle(0, dirs[1024:1025])[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_dimension_two_unsupported(self, pair_config):
-        with pytest.raises(ValueError, match="dimension"):
-            pair_config.normal_direction(0, 0.0)
+    def test_antipodal_neighbor_fallback(self):
+        # the tangent toward an antipodal neighbor is not unique; the fallback
+        # is the second QR column of [u_i, I], frozen here
+        cases = [
+            ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [0.0, 1.0, 0.0]),
+            ([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [-1.0, 0.0, 0.0]),
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.0, 1.0]),
+            ([[0.6, 0.8, 0.0], [-0.6, -0.8, 0.0]], [-0.8, 0.6, 0.0]),
+        ]
+        for points, expected in cases:
+            config = PointConfiguration.from_points(points)
+            assert np.array_equal(config.nearest_neighbor_direction(0), expected)
+            assert np.array_equal(config.nearest_neighbor_direction(1), expected)
+
+    def test_higher_dimension_rule_depends_only_on_the_point(self):
+        # for n > 3 the rule projects one shared sample, so it ignores the
+        # other points of the configuration
+        u = np.array([0.5, 0.5, 0.5, 0.5, 0.0])
+        a = PointConfiguration.from_points([u, [1.0, 0.0, 0.0, 0.0, 0.0]])
+        b = PointConfiguration.from_points([[0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 0.0], u])
+        assert np.array_equal(a.normal_directions(0), b.normal_directions(2))
+
+    def test_dimension_two_is_plus_minus_neighbor(self, pair_config):
+        for i in range(2):
+            v0 = pair_config.nearest_neighbor_direction(i)
+            assert np.array_equal(pair_config.normal_directions(i), np.vstack([v0, -v0]))
 
     def test_closed_form_profile_near_neighbor(self, benchmark_config):
         # on the arc where the nearest neighbor attains the maximum the
         # squared cosine has an explicit form in the circle angle
         rho = 0.25
-        for phi in np.linspace(-0.3, 0.3, 13):
-            v = benchmark_config.normal_direction(0, phi)
-            a = math.cos(benchmark_config.local_angle(0, v)) ** 2
-            expected = (
-                (1.0 + rho) * math.cos(phi) ** 2
-                / (1.0 - rho + (1.0 + rho) * math.cos(phi) ** 2)
-            )
-            assert a == pytest.approx(expected, abs=1e-10)
+        phi = circle_angles(benchmark_config, 0)
+        near = np.abs(phi) <= 0.3
+        assert np.count_nonzero(near) > 300
+        a = benchmark_config.cos_sq_local_angle(0, benchmark_config.normal_directions(0)[near])
+        cos_sq_phi = np.cos(phi[near]) ** 2
+        expected = (1.0 + rho) * cos_sq_phi / (1.0 - rho + (1.0 + rho) * cos_sq_phi)
+        assert np.allclose(a, expected, rtol=0.0, atol=1e-10)
 
 
 class TestNormalSampling:
-    def test_orthogonality_and_norm(self, benchmark_config):
-        rng = np.random.default_rng(8)
-        draws = benchmark_config.sample_normal_direction(0, rng, size=1000)
-        assert np.max(np.abs(draws @ benchmark_config.points[0])) <= 1e-12
-        assert np.max(np.abs(np.linalg.norm(draws, axis=1) - 1.0)) <= 1e-12
+    """The directions as an equal-weight sample of the normal sphere."""
 
-    def test_mean_is_zero(self, benchmark_config):
-        rng = np.random.default_rng(9)
-        draws = benchmark_config.sample_normal_direction(0, rng, size=10**5)
-        assert np.max(np.abs(draws.mean(axis=0))) <= 3.0 / math.sqrt(10**5)
+    def test_orthogonality_and_norm(self):
+        rng = np.random.default_rng(8)
+        for dim, n_points in ((4, 3), (10, 50)):
+            pts = rng.standard_normal((n_points, dim))
+            config = PointConfiguration.from_points(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+            for i in range(n_points):
+                assert_unit_and_normal(config, i, config.normal_directions(i))
+
+    def test_mean_is_zero(self):
+        for dim in (4, 10):
+            config = PointConfiguration.from_correlation(equicorrelated(dim, 0.1))
+            dirs = config.normal_directions(0)
+            assert np.max(np.abs(dirs.mean(axis=0))) <= 3.0 / math.sqrt(dirs.shape[0])
 
     def test_circle_angle_uniform(self, benchmark_config):
-        rng = np.random.default_rng(10)
-        draws = benchmark_config.sample_normal_direction(0, rng, size=10**5)
-        v0 = benchmark_config.nearest_neighbor_direction(0)
-        w = np.cross(benchmark_config.points[0], v0)
-        phi = np.sort(np.arctan2(draws @ w, draws @ v0) + math.pi)
-        cdf = phi / (2.0 * math.pi)
-        grid = np.arange(phi.size, dtype=float)
-        stat = max(
-            np.max(np.abs((grid + 1.0) / phi.size - cdf)),
-            np.max(np.abs(grid / phi.size - cdf)),
-        )
-        assert stat < 1.94947 / math.sqrt(phi.size)
-
-    def test_single_draw_shape(self, benchmark_config):
-        rng = np.random.default_rng(11)
-        v = benchmark_config.sample_normal_direction(0, rng)
-        assert v.shape == (3,)
+        # the n = 3 rule is the uniform trapezoidal grid phi_j = 2 pi j / 4096
+        phi = np.mod(circle_angles(benchmark_config, 0), 2.0 * math.pi)
+        phi[np.isclose(phi, 2.0 * math.pi, rtol=0.0, atol=1e-9)] = 0.0
+        assert np.allclose(phi, 2.0 * math.pi * np.arange(4096) / 4096, rtol=0.0, atol=1e-12)
