@@ -35,13 +35,10 @@ from .radial_laws import (
 )
 from .special_functions import (
     QuadratureError,
-    QuadratureSpec,
     find_root,
     integrate,
-    log_beta,
     reg_inc_beta,
     reg_inc_gamma_upper,
-    sphere_area,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +56,6 @@ __all__ = [
     "TailClass",
     "UnsupportedLawError",
     "QuadratureError",
-    "QuadratureSpec",
     "build_report",
     "d_k_asymptotic",
     "d_k_quadrature",
@@ -71,7 +67,6 @@ __all__ = [
     "g_beta",
     "integrate",
     "law_from_dict",
-    "log_beta",
     "log_delta_asymptotic",
     "marginal_tail",
     "p_bounds",
@@ -82,7 +77,6 @@ __all__ = [
     "sample_tmax",
     "simulate_pmax",
     "solve_threshold",
-    "sphere_area",
     "tail_dependence",
     "__version__",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 from . import excursion, montecarlo
 from .geometry import PointConfiguration
 from .radial_laws import Bessel, ChiSquare, FDist, LogNormal, law_from_dict
-from .special_functions import QuadratureError
 
 __all__ = ["ExperimentConfig", "run", "main", "REPRODUCE_CASES"]
 
@@ -222,20 +221,14 @@ def _run_reproduce(args):
 def _run_approx(exp):
     tubes = [excursion.p_tube(exp.configuration, exp.law, c) for c in exp.c_grid]
     rows = [[c, tube, min(1.0, tube)] for c, tube in zip(exp.c_grid, tubes)]
-    out = exp.output or "approx.csv"
-    _write_csv(out, ["c", "p_tube", "p_tube_capped"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return ["c", "p_tube", "p_tube_capped"], rows
 
 
 def _run_exact(exp):
     rows = [
         [c, excursion.p_exact(exp.configuration, exp.law, c)] for c in exp.c_grid
     ]
-    out = exp.output or "exact.csv"
-    _write_csv(out, ["c", "p_exact"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return ["c", "p_exact"], rows
 
 
 def _run_simulate(exp):
@@ -246,10 +239,7 @@ def _run_simulate(exp):
         [c, p, se, sim.trials, sim.seed]
         for c, p, se in zip(sim.c_grid, sim.estimates, sim.standard_errors)
     ]
-    out = exp.output or "simulate.csv"
-    _write_csv(out, ["c", "p_hat", "se", "trials", "seed"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return ["c", "p_hat", "se", "trials", "seed"], rows
 
 
 _ERROR_HEADER = ["c", "p_tube", "p_tube_capped", "p_exact", "p_lower",
@@ -261,10 +251,16 @@ def _run_error(exp):
     for c in exp.c_grid:
         cells = _report_cells(excursion.build_report(exp.configuration, exp.law, c))
         rows.append([cells[name] for name in _ERROR_HEADER])
-    out = exp.output or "error.csv"
-    _write_csv(out, _ERROR_HEADER, rows)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return _ERROR_HEADER, rows
+
+
+# grid subcommands: each returns (header, rows) for ``run`` to write
+_GRID_COMMANDS = {
+    "approx": _run_approx,
+    "exact": _run_exact,
+    "simulate": _run_simulate,
+    "error": _run_error,
+}
 
 
 def _run_threshold(exp, args):
@@ -326,25 +322,14 @@ def run(argv=None):
         if args.command == "reproduce":
             return _run_reproduce(args)
         exp = ExperimentConfig.load(args.config, args)
-        if args.command == "approx":
-            return _run_approx(exp)
-        if args.command == "exact":
-            return _run_exact(exp)
-        if args.command == "simulate":
-            return _run_simulate(exp)
-        if args.command == "error":
-            return _run_error(exp)
         if args.command == "threshold":
             return _run_threshold(exp, args)
-        raise ValueError(f"unknown command {args.command!r}")
-    except QuadratureError as exc:
-        print(
-            f"numerical failure: {exc} (estimate {exc.estimate:.6g}, "
-            f"error bound {exc.error_bound:.6g})",
-            file=sys.stderr,
-        )
-        return 2
-    except FloatingPointError as exc:
+        header, rows = _GRID_COMMANDS[args.command](exp)
+        out = exp.output or f"{args.command}.csv"
+        _write_csv(out, header, rows)
+        print(f"wrote {out} ({len(rows)} rows)")
+        return 0
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
@@ -354,3 +339,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

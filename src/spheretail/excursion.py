@@ -34,12 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate as _sci_integrate
-from scipy import optimize as _sci_optimize
 from scipy import special as _sci_special
 from scipy.interpolate import PchipInterpolator
 
 from .radial_laws import UnsupportedLawError, g_beta
-from .special_functions import QuadratureSpec, integrate, reg_inc_beta
+from .special_functions import find_root, integrate, reg_inc_beta
 
 __all__ = [
     "ExcursionReport",
@@ -105,11 +104,6 @@ class _BetaMixture:
 @lru_cache(maxsize=512)
 def _mixture(law, n, k, c):
     return _BetaMixture(law, n, k, c)
-
-
-# The tolerances sit well below every reported ratio scale; failing to reach
-# them raises QuadratureError rather than returning silently.
-_RATIO_QUADRATURE = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-10, max_subdivisions=400)
 
 
 def marginal_tail(law, n, c):
@@ -294,7 +288,7 @@ def d_k_quadrature(law, n, k, theta, c):
             return 0.0
         return float(_mixture_weight(psi, p, q) * law.tail(c * c / y)) / denom
 
-    return integrate(integrand, 0.0, psi_hi, _RATIO_QUADRATURE)
+    return integrate(integrand, 0.0, psi_hi)
 
 
 def d_k_asymptotic(law, n, k, theta, c):
@@ -412,7 +406,7 @@ def solve_threshold(config, law, target, method="tube"):
             )
         return math.log(value) - math.log(target)
 
-    return _sci_optimize.brentq(log_excess, lo, hi, xtol=1e-10 * (1.0 + hi))
+    return find_root(log_excess, lo, hi)
 
 
 def tail_dependence(config, law):

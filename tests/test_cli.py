@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,16 @@ class TestValidationFailures:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "0.1" in err
 
+    def test_arithmetic_error_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def divide_by_zero(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli.excursion, "p_tube", divide_by_zero)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert cli.run(["approx", "--config", str(cfg), "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
     def test_underflowing_relative_error_exit_code(self, tmp_path, capsys):
         # the Gaussian tail underflows to 0 at c = 40, leaving Delta undefined
         cfg = write_config(tmp_path / "cfg.json")
@@ -161,6 +175,28 @@ class TestValidationFailures:
             assert cli.run(argv + grid) == 2
             err = capsys.readouterr().err
             assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+class TestModuleEntryPoints:
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    @pytest.mark.parametrize("module", ["spheretail", "spheretail.cli"])
+    def test_python_dash_m_writes_the_run_csv(self, tmp_path, module):
+        cfg = write_config(
+            tmp_path / "cfg.json", c_grid={"start": 1.0, "stop": 2.0, "step": 0.5}
+        )
+        expected = tmp_path / "run.csv"
+        assert cli.run(["approx", "--config", str(cfg), "--out", str(expected)]) == 0
+        out = tmp_path / "module.csv"
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "approx", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected.read_bytes()
+        assert len(read_csv(out)[1]) == 3
 
 
 class TestReproduce:

@@ -2,48 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, ndtr
+from scipy.special import betaln, gammaln, ndtr
 
 from spheretail import (
     QuadratureError,
-    QuadratureSpec,
     find_root,
     integrate,
-    log_beta,
     reg_inc_beta,
     reg_inc_gamma_upper,
-    sphere_area,
 )
 
 # High-precision oracle values (40-digit arbitrary-precision quadrature /
 # gamma evaluations), frozen.
-LOG_BETA_ORACLE = {
-    (0.5, 1.5): 0.4515827052894548647262,  # log(pi/2)
-    (100.0, 100.0): -139.6652590867066392662,
-    (3.5, 77.0): -14.05843932617221292257,
-    (0.25, 0.75): 1.491303476129372828852,
-}
 Q_3_HALVES_AT_2 = 0.2614641299491106222028
 INC_BETA_ORACLE = 0.01892712407194565165345  # I_0.3(2.5, 0.5)
-
-
-class TestLogBeta:
-    def test_trivial_values(self):
-        assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_beta(0.5, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-
-    def test_half_three_halves_is_log_pi_over_two(self):
-        assert log_beta(0.5, 1.5) == pytest.approx(math.log(math.pi / 2.0), rel=1e-14)
-
-    def test_high_precision_oracle(self):
-        for (p, q), expected in LOG_BETA_ORACLE.items():
-            assert log_beta(p, q) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_beta(0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_beta(1.0, -2.0)
 
 
 class TestRegIncBeta:
@@ -76,7 +48,7 @@ class TestRegIncBeta:
             p, q = rng.uniform(0.5, 5.0, size=2)
             direct = integrate(
                 lambda y: y ** (p - 1.0) * (1.0 - y) ** (q - 1.0), 0.0, x
-            ) / math.exp(log_beta(p, q))
+            ) / math.exp(betaln(p, q))
             assert reg_inc_beta(x, p, q) == pytest.approx(direct, abs=1e-8)
 
     def test_monotone_in_x(self):
@@ -147,7 +119,7 @@ class TestIntegrate:
 
     def test_beta_integrand(self):
         value = integrate(lambda x: x**-0.5 * (1.0 - x) ** 0.5, 0.0, 1.0)
-        assert value == pytest.approx(math.exp(log_beta(0.5, 1.5)), rel=1e-10)
+        assert value == pytest.approx(math.exp(betaln(0.5, 1.5)), rel=1e-10)
         assert value == pytest.approx(math.pi / 2.0, rel=1e-10)
 
     def test_linearity(self):
@@ -158,17 +130,15 @@ class TestIntegrate:
         assert combined == pytest.approx(parts, rel=1e-9)
 
     def test_failure_carries_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=1)
+        # 1/x diverges at 0: the fixed rule exhausts its subdivision budget
         with pytest.raises(QuadratureError) as err:
-            integrate(lambda x: x**-0.5, 0.0, 1.0, spec)
-        assert err.value.estimate == pytest.approx(2.0, abs=0.5)
+            integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        assert math.isfinite(err.value.estimate) and err.value.estimate > 1.0
         assert err.value.error_bound > 0.0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+        assert str(err.value).endswith(
+            f"(estimate {err.value.estimate:.6g}, "
+            f"error bound {err.value.error_bound:.6g})"
+        )
 
     def test_deterministic(self):
         f = lambda x: math.exp(-x) * math.cos(7.0 * x)
@@ -190,22 +160,3 @@ class TestFindRoot:
     def test_endpoint_roots(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
         assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-
-class TestSphereArea:
-    def test_known_values(self):
-        assert sphere_area(1) == pytest.approx(2.0, rel=1e-14)
-        assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
-        assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
-
-    def test_recurrence(self):
-        for k in range(3, 13):
-            assert sphere_area(k) == pytest.approx(
-                2.0 * math.pi * sphere_area(k - 2) / (k - 2), rel=1e-12
-            )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            sphere_area(0)
-        with pytest.raises(ValueError):
-            sphere_area(2.5)
