@@ -11,13 +11,14 @@ all operations except ``sample`` are pure; sampling draws from an explicitly
 passed generator.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sci_special
 
-from .special_functions import reg_inc_beta, reg_inc_gamma_upper
+from .special_functions import find_root, reg_inc_beta, reg_inc_gamma_upper
 
 __all__ = [
     "UnsupportedLawError",
@@ -88,8 +89,8 @@ class RadialLaw:
     def tail(self, x):
         """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays."""
         xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0.0):
-            raise ValueError("tail argument must be nonnegative")
+        if not np.all(xa >= 0.0):
+            raise ValueError("tail argument must be nonnegative (and not NaN)")
         out = self._base_tail(np.atleast_1d(xa) / self.scale)
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
@@ -227,10 +228,28 @@ class LogNormal(RadialLaw):
         return 0.5 * logy**2
 
 
-# Fixed-order Gauss-Legendre rule for the product-law convolution; the
-# integrand is analytic with a single saddle after the log substitution,
-# so 256 nodes give full double accuracy over the usable range.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+# Gauss-Legendre rule for the product-law convolution, placed per argument on
+# the window where the integrand lives (see ``Bessel``).  Against the closed
+# form (even nu2) and a 1024-node reference, 96 nodes agree to 2e-13 relative
+# for every tail >= 1e-290 over x in [1e-14, 1e8] and nu1, nu2 in [0.2, 80].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+# Drop, in nepers below the peak, at which the window cuts the integrand.
+_WINDOW_DEPTH = 45.0
+
+
+@functools.lru_cache(maxsize=None)
+def _log_bulk(nu):
+    """Range of log t outside which t times the chi-square(nu) density is
+    below exp(-_WINDOW_DEPTH) of its peak at t = nu."""
+    # (nu / 2)(e^w - 1 - w) = depth with w = log(t / nu), on each side of 0
+    c = 2.0 * _WINDOW_DEPTH / nu
+
+    def excess(w):
+        return math.expm1(w) - w - c
+
+    lo = find_root(excess, -1.0 - c, 0.0)
+    hi = find_root(excess, 0.0, math.log1p(c) + math.sqrt(2.0 * c))
+    return math.log(nu) + lo, math.log(nu) + hi
 
 
 @dataclass(frozen=True)
@@ -238,9 +257,26 @@ class Bessel(RadialLaw):
     """Law of the product of independent chi-square variates.
 
     The product of chi-square variables with ``nu1`` and ``nu2`` degrees of
-    freedom (subexponential, not regularly varying).  The exact tail is the
-    one-dimensional convolution of the two chi-square laws, integrated
-    numerically on a log grid centred at the saddle ``t = sqrt(x)``.
+    freedom (subexponential, not regularly varying).  The law is symmetric in
+    the two; with ``(a, b) = (nu1, nu2)``, swapped when ``nu2 > nu1 + 2`` so
+    that ``k = (a - b)/2 + 1 >= 0``, the exact tail is the convolution
+    ``int f_a(t) Q(b/2, x/(2t)) dt``.  It is taken by one Gauss-Legendre rule
+    in ``u = log(t / s)``, ``s = sqrt(x)``, on a window chosen per argument
+    from where the integrand lives:
+
+    - large ``x``: around the saddle ``u = 0`` the integrand is about
+      ``exp(k u - s cosh u)``, so the window holds ``-d0 <= u <= d`` with
+      ``s (cosh d0 - 1) = depth`` and ``s (cosh d - 1) = depth + k d0``, the
+      second covering the shift of the peak towards ``u > 0``;
+    - small ``x``: the mass sits in the chi-square(a) bulk, cut off below
+      where ``Q`` vanishes (``t < x / T``, ``T`` the upper end of the
+      chi-square(b) bulk), so the window reaches the upper end of that bulk
+      and never extends below its lower end.
+
+    The bulk of chi-square(nu) is where ``t f_nu(t)`` is within
+    ``exp(-depth)`` of its peak.  Below ``x = 1e-24``, when ``a`` is at most
+    2, the window is too wide for the fixed rule (relative error up to 6e-5
+    at ``nu = (0.2, 2)``); no caller in this package evaluates the tail there.
     """
 
     nu1: float
@@ -256,22 +292,31 @@ class Bessel(RadialLaw):
         pos = x > 0.0
         if not np.any(pos):
             return out
+        nu_a, nu_b = self.nu1, self.nu2
+        if nu_b > nu_a + 2.0:
+            nu_a, nu_b = nu_b, nu_a
         xp = x[pos]
         s = np.sqrt(xp)
-        # Half-width in u = log(t / sqrt(x)); covers the chi-square mass on
-        # both flanks down to relative level exp(-75) at the truncation.
-        half_width = np.log(2.0 + 150.0 / s) + 0.5
-        u = half_width[:, None] * _GL_NODES[None, :]
-        t = s[:, None] * np.exp(u)
+        log_s = 0.5 * np.log(xp)
+        bulk_lo, bulk_hi = _log_bulk(nu_a)
+        q_hi = _log_bulk(nu_b)[1]
+        k = 0.5 * (nu_a - nu_b) + 1.0
+        d0 = np.arccosh(1.0 + _WINDOW_DEPTH / s)
+        d = np.arccosh(1.0 + (_WINDOW_DEPTH + k * d0) / s)
+        u_lo = np.maximum(bulk_lo - log_s, np.minimum(log_s - q_hi, -d0))
+        u_hi = np.maximum(bulk_hi - log_s, d)
+        half_width = 0.5 * (u_hi - u_lo)
+        log_t = (log_s + 0.5 * (u_hi + u_lo))[:, None] + half_width[:, None] * _GL_NODES
+        t = np.exp(log_t)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            # chi-square(nu1) density times the Jacobian dt = t du
+            # chi-square(nu_a) density times the Jacobian dt = t du
             log_fdt = (
-                (self.nu1 / 2.0) * np.log(t)
+                (nu_a / 2.0) * log_t
                 - t / 2.0
-                - _sci_special.gammaln(self.nu1 / 2.0)
-                - (self.nu1 / 2.0) * math.log(2.0)
+                - _sci_special.gammaln(nu_a / 2.0)
+                - (nu_a / 2.0) * math.log(2.0)
             )
-            upper = _sci_special.gammaincc(self.nu2 / 2.0, xp[:, None] / (2.0 * t))
+            upper = _sci_special.gammaincc(nu_b / 2.0, xp[:, None] / (2.0 * t))
             integrand = np.exp(log_fdt) * upper
             integrand = np.where(np.isfinite(integrand), integrand, 0.0)
         out[pos] = (integrand @ _GL_WEIGHTS) * half_width

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import gammaincc, gammaln, kve, logsumexp, ndtr
 
 from spheretail import (
     Bessel,
@@ -26,6 +26,41 @@ BESSEL_TAIL_ORACLE = {
 }
 
 KS_CRITICAL_01_PERCENT = 1.94947 / math.sqrt(10**5)
+
+ALL_FAMILIES = [ChiSquare(3.0), Chi(2.0), FDist(2.0, 5.0), LogNormal(), Bessel(3.0, 4.0)]
+
+
+def bessel_tail_closed_form(nu1, nu2, x):
+    """Product-of-chi-squares tail for even ``nu2``, in log space.
+
+    With a = nu1/2, integer b = nu2/2 and z = x/4,
+    P(R > x) = (2 / Gamma(a)) sum_{k<b} z^((a+k)/2) K_{a-k}(2 sqrt z) / k!.
+    """
+    a, b = nu1 / 2.0, round(nu2 / 2.0)
+    assert b == nu2 / 2.0
+    z = np.asarray(x, dtype=float) / 4.0
+    y = 2.0 * np.sqrt(z)
+    log_terms = [
+        math.log(2.0) - gammaln(a) - gammaln(k + 1.0)
+        + 0.5 * (a + k) * np.log(z) + np.log(kve(a - k, y)) - y
+        for k in range(b)
+    ]
+    return np.exp(logsumexp(log_terms, axis=0))
+
+
+DENSE_NODES, DENSE_WEIGHTS = np.polynomial.legendre.leggauss(1024)
+
+
+def bessel_tail_dense(nu1, nu2, x):
+    """Product-of-chi-squares tail by a 1024-node Gauss-Legendre rule in
+    u = log(t / sqrt(x)) on the fixed window |u| <= log(2 + 150/sqrt(x)) + 0.5."""
+    s = math.sqrt(x)
+    half_width = math.log(2.0 + 150.0 / s) + 0.5
+    log_t = math.log(s) + half_width * DENSE_NODES
+    t = np.exp(log_t)
+    log_fdt = (nu1 / 2.0) * (log_t - math.log(2.0)) - t / 2.0 - gammaln(nu1 / 2.0)
+    integrand = np.exp(log_fdt) * gammaincc(nu2 / 2.0, x / (2.0 * t))
+    return half_width * float(integrand @ DENSE_WEIGHTS)
 
 
 def ks_statistic(samples, cdf_values):
@@ -63,10 +98,18 @@ class TestExactTails:
                 assert scaled.tail(x) == law.tail(x / scaled.scale)
 
     def test_tail_at_zero_and_domain(self):
-        for law in (ChiSquare(3.0), Chi(2.0), FDist(2.0, 5.0), LogNormal(), Bessel(3.0, 4.0)):
+        for law in ALL_FAMILIES:
             assert law.tail(0.0) == pytest.approx(1.0, abs=1e-12)
             with pytest.raises(ValueError):
                 law.tail(-1.0)
+
+    @pytest.mark.parametrize("law", ALL_FAMILIES, ids=lambda law: law.family)
+    def test_nan_argument_raises(self, law):
+        # a NaN argument must not come back as a probability
+        with pytest.raises(ValueError):
+            law.tail(math.nan)
+        with pytest.raises(ValueError):
+            law.tail(np.array([1.0, math.nan]))
 
     def test_vectorized_matches_scalar(self):
         law = FDist(3.0, 3.0)
@@ -79,19 +122,38 @@ class TestBesselTail:
         for (n1, n2, x), expected in BESSEL_TAIL_ORACLE.items():
             assert Bessel(n1, n2).tail(x) == pytest.approx(expected, rel=1e-10)
 
+    def test_closed_form_matches_frozen_oracle(self):
+        for (n1, n2, x), expected in BESSEL_TAIL_ORACLE.items():
+            if n2 % 2 == 0:
+                assert bessel_tail_closed_form(n1, n2, x) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "nu", [(3.0, 4.0), (2.0, 2.0), (5.5, 2.0), (1.5, 6.0), (20.0, 20.0), (0.5, 20.0)]
+    )
+    def test_closed_form_for_even_nu2(self, nu):
+        xs = np.logspace(-14.0, 8.0, 441)
+        expected = bessel_tail_closed_form(*nu, xs)
+        keep = expected >= 1e-290
+        assert keep.sum() > 300
+        got = Bessel(*nu).tail(xs)
+        assert np.max(np.abs(got[keep] / expected[keep] - 1.0)) <= 1e-12
+
     def test_dual_route_against_adaptive_convolution(self):
         # same convolution evaluated by adaptive QUADPACK, split at the
-        # integrand's saddle t = sqrt(x); a QUADPACK warning fails the test
-        from spheretail.special_functions import reg_inc_gamma_upper
+        # integrand's saddle t = sqrt(x); a QUADPACK warning fails the test.
+        # QUADPACK holds about 1e-10 relative (less at tiny x), so a dense
+        # fixed rule on a wide window is the 1e-12 reference.
         from scipy.integrate import quad
-        from scipy.special import gammaln
 
         def adaptive(f, a, b):
             result = quad(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=500, full_output=1)
             assert len(result) == 3, result[3]
             return result[0]
 
-        for n1, n2 in [(3.0, 4.0), (2.0, 2.0), (5.5, 1.5)]:
+        for n1, n2 in [
+            (3.0, 4.0), (2.0, 2.0), (5.5, 1.5), (1.5, 2.5), (10.0, 3.0), (0.5, 0.5), (20.0, 19.0),
+            (80.0, 1.0),
+        ]:
             law = Bessel(n1, n2)
 
             def density(t):
@@ -100,16 +162,26 @@ class TestBesselTail:
                     - gammaln(n1 / 2.0) - (n1 / 2.0) * math.log(2.0)
                 )
 
-            for x in (0.8, 12.0, 150.0):
-                f = lambda t: density(t) * reg_inc_gamma_upper(n2 / 2.0, x / (2.0 * t))
+            for x in (1e-10, 1e-3, 0.8, 12.0, 150.0, 1e4, 1e6):
+                got = law.tail(x)
+                assert got == pytest.approx(bessel_tail_dense(n1, n2, x), rel=1e-12, abs=1e-300)
+                f = lambda t: density(t) * gammaincc(n2 / 2.0, x / (2.0 * t))
                 split = math.sqrt(x)
                 reference = adaptive(f, 0.0, split) + adaptive(f, split, np.inf)
-                assert law.tail(x) == pytest.approx(reference, rel=1e-9)
+                assert got == pytest.approx(reference, rel=1e-9)
 
     def test_monotone(self):
-        xs = np.linspace(0.0, 50.0, 80)
-        vals = Bessel(3.0, 4.0).tail(xs)
-        assert np.all(np.diff(vals) < 0.0)
+        # PCHIP mixtures and Brent's method rely on a strictly decreasing
+        # tail, also where the per-argument window changes shape.  Within
+        # 1e-12 of 1 the true decrements are below the rounding of the
+        # quadrature sum, which may move the value by a few 1e-15 either way.
+        xs = np.logspace(-12.0, 6.0, 4000)
+        for nu in [(3.0, 4.0), (20.0, 20.0), (0.5, 0.5), (10.0, 3.0), (1.5, 6.0)]:
+            vals = Bessel(*nu).tail(xs)
+            keep = (vals >= 1e-290) & (vals <= 1.0 - 1e-12)
+            assert keep.sum() > 1000
+            assert np.all(np.diff(vals[keep]) < 0.0), nu
+            assert np.all(np.diff(vals) <= 1e-14), nu
 
 
 class TestSampling:
