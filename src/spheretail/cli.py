@@ -288,21 +288,21 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_trials=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment description")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
-        if with_trials:
-            p.add_argument("--trials", type=int, help="Monte Carlo trials")
-            p.add_argument("--seed", type=int, help="simulation seed")
 
     add_common(sub.add_parser("approx", help="Bonferroni approximation grid"))
     add_common(sub.add_parser("exact", help="exact excursion probability grid"))
-    add_common(sub.add_parser("simulate", help="Monte Carlo estimate grid"))
+    sim = sub.add_parser("simulate", help="Monte Carlo estimate grid")
+    add_common(sim)
+    sim.add_argument("--trials", type=int, help="Monte Carlo trials")
+    sim.add_argument("--seed", type=int, help="simulation seed")
     add_common(sub.add_parser("error", help="relative error with predictions and bounds"))
 
     thr = sub.add_parser("threshold", help="solve for the threshold at a target level")
-    add_common(thr, with_trials=False)
+    add_common(thr)
     thr.add_argument("--target", type=float, required=True, help="target probability")
     thr.add_argument("--method", choices=["tube", "exact"], default="tube")
 

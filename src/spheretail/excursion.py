@@ -20,10 +20,12 @@ varies fastest for small and for large c.  Its total is the marginal, so
 P_tube, P and Delta all come from the same mixture: P_tube - P is the sum
 of the per-point overlap corrections read off the interpolated mixture,
 and Delta is that sum divided by P_tube, never a difference of two
-separately computed probabilities.  Averages over normal directions use
-the fixed equal-weight rule of ``PointConfiguration.normal_directions``,
-so all results are deterministic.  Thresholds are solved by Brent's
-method on log P(c) inside a doubling bracket.
+separately computed probabilities.  The tail-ratio mixture D_k(theta, c)
+takes the same rule with the grid mapped onto [0, pi/2 - theta].  Averages
+over normal directions use the fixed equal-weight rule of
+``PointConfiguration.normal_directions``, so all results are
+deterministic.  Thresholds are solved by Brent's method on log P(c) inside
+a doubling bracket.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -38,7 +40,7 @@ from scipy import special as _sci_special
 from scipy.interpolate import PchipInterpolator
 
 from .radial_laws import UnsupportedLawError, g_beta
-from .special_functions import find_root, integrate, reg_inc_beta
+from .special_functions import find_root, reg_inc_beta
 
 __all__ = [
     "ExcursionReport",
@@ -64,33 +66,29 @@ PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mi
 # beta-mixture integrals
 # ----------------------------------------------------------------------
 
-def _mixture_weight(psi, p, q):
-    """Beta(p, q) density transported to y = sin^2(psi), singularities absorbed."""
-    return (
-        2.0
-        * np.sin(psi) ** (2.0 * p - 1.0)
-        * np.cos(psi) ** (2.0 * q - 1.0)
-        / _sci_special.beta(p, q)
-    )
+def _cumulative_mixture(law, n, k, c, psi_hi):
+    """Nodes psi on [0, psi_hi], cosine-spaced, and at each the cumulative
+    ``int_0^{sin^2 psi} tail(c^2 / y) dBeta_{k/2,(n-k)/2}(y)`` by Simpson's rule."""
+    p, q = k / 2.0, (n - k) / 2.0
+    psi = psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
+    y = np.sin(psi) ** 2
+    values = np.zeros(PSI_NODES)  # tail vanishes at y -> 0 faster than any power
+    values[1:] = law.tail(c * c / y[1:])
+    # Beta(p, q) density transported to y = sin^2(psi), singularities absorbed
+    weight = 2.0 * np.sin(psi) ** (2.0 * p - 1.0) * np.cos(psi) ** (2.0 * q - 1.0)
+    integrand = weight / _sci_special.beta(p, q) * values
+    return psi, _sci_integrate.cumulative_simpson(integrand, x=psi, initial=0.0)
 
 
 class _BetaMixture:
-    """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{p,q}(y).
+    """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{1/2,(n-1)/2}(y).
 
-    Built once per (law, n, k, c) on a fixed cosine-spaced Simpson grid in
-    the substituted variable psi = arcsin(sqrt(y)); evaluation interpolates
-    monotonically.
+    Built once per (law, n, c) on the full range psi in [0, pi/2];
+    evaluation interpolates monotonically.
     """
 
-    def __init__(self, law, n, k, c):
-        p, q = k / 2.0, (n - k) / 2.0
-        psi = math.pi / 4.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
-        y = np.sin(psi) ** 2
-        values = np.zeros(PSI_NODES)
-        values[1:] = law.tail(c * c / y[1:])
-        integrand = _mixture_weight(psi, p, q) * values
-        integrand[0] = 0.0  # tail vanishes at y -> 0 faster than any power
-        cum = _sci_integrate.cumulative_simpson(integrand, x=psi, initial=0.0)
+    def __init__(self, law, n, c):
+        psi, cum = _cumulative_mixture(law, n, 1, c, math.pi / 2.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             self._interp = PchipInterpolator(psi, cum)
         self.total = float(cum[-1])
@@ -102,8 +100,8 @@ class _BetaMixture:
 
 
 @lru_cache(maxsize=512)
-def _mixture(law, n, k, c):
-    return _BetaMixture(law, n, k, c)
+def _mixture(law, n, c):
+    return _BetaMixture(law, n, c)
 
 
 def marginal_tail(law, n, c):
@@ -118,7 +116,7 @@ def marginal_tail(law, n, c):
         return 0.5
     if c < 0.0:
         return 1.0 - marginal_tail(law, n, -c)
-    return 0.5 * _mixture(law, n, 1, c).total
+    return 0.5 * _mixture(law, n, c).total
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +162,7 @@ def _tube_and_corrections(config, law, c):
     their direction averages (zero on the deterministic n <= 3 paths).
     """
     tube = p_tube(config, law, c)
-    mix = _mixture(law, config.dim, 1, c)
+    mix = _mixture(law, config.dim, c)
     corrections = var = 0.0
     for a in _normal_profiles(config):
         vals = 0.5 * mix.partial(a)
@@ -265,10 +263,11 @@ def p_bounds(config, law, c):
 # ----------------------------------------------------------------------
 
 def d_k_quadrature(law, n, k, theta, c):
-    """Tail-ratio beta-mixture D_k(theta, c) by adaptive quadrature.
+    """Tail-ratio beta-mixture D_k(theta, c) by the Simpson rule of the marginal.
 
     Computes ``int_0^{cos^2 theta} [tail(c^2/y) / tail(c^2)] dBeta_{k/2,(n-k)/2}``,
-    the exact finite-threshold counterpart of the asymptotic branches.
+    the exact finite-threshold counterpart of the asymptotic branches, with
+    the grid mapped onto psi in [0, pi/2 - theta]; 0 for theta >= pi/2.
     """
     if c <= 0.0:
         raise ValueError("threshold must be positive")
@@ -279,16 +278,20 @@ def d_k_quadrature(law, n, k, theta, c):
     denom = float(law.tail(c * c))
     if denom <= 0.0:
         raise ValueError("tail underflow at the threshold; ratio undefined")
-    p, q = k / 2.0, (n - k) / 2.0
-    psi_hi = math.pi / 2.0 - theta
+    if theta >= math.pi / 2.0:
+        return 0.0
+    _, cum = _cumulative_mixture(law, n, k, c, math.pi / 2.0 - theta)
+    return float(cum[-1]) / denom
 
-    def integrand(psi):
-        y = math.sin(psi) ** 2
-        if y <= 0.0:
-            return 0.0
-        return float(_mixture_weight(psi, p, q) * law.tail(c * c / y)) / denom
 
-    return integrate(integrand, 0.0, psi_hi)
+def _laplace_rate(law, desc, c):
+    """Threshold c / sqrt(scale) of the base family and the Laplace rate
+    b = c_adj^(2 (1 - beta)) ell0(c_adj^2) of the expansion in that regime."""
+    c_adj = c / math.sqrt(law.scale)
+    b = c_adj ** (2.0 * (1.0 - desc.beta)) * desc.ell0(c_adj**2)
+    if b <= 0.0:
+        raise ValueError("threshold too small for the asymptotic expansion")
+    return c_adj, b
 
 
 def d_k_asymptotic(law, n, k, theta, c):
@@ -312,19 +315,15 @@ def d_k_asymptotic(law, n, k, theta, c):
             _sci_special.betaln(gamma + p, q) - _sci_special.betaln(p, q)
         )
         return a_gk * reg_inc_beta(cos_sq, gamma + p, q)
-    c_adj = c / math.sqrt(law.scale)
-    beta = desc.beta
-    b = c_adj ** (2.0 * (1.0 - beta)) * desc.ell0(c_adj**2)
-    if b <= 0.0:
-        raise ValueError("threshold too small for the asymptotic expansion")
+    c_adj, b = _laplace_rate(law, desc, c)
     if theta == 0.0:
         return math.gamma(q) / (_sci_special.beta(p, q) * b**q)
     if cos_sq <= 0.0:
         return 0.0
     return (
-        math.cos(theta) ** (k - 2.0 * beta + 2.0)
+        math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)
-        * math.exp(-b * g_beta(beta, cos_sq) - law.r_beta(c_adj**2, cos_sq))
+        * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(c_adj**2, cos_sq))
         / (_sci_special.beta(p, q) * b)
     )
 
@@ -351,16 +350,12 @@ def log_delta_asymptotic(config, law, c):
     n = config.dim
     theta = config.theta_star
     cos_sq = math.cos(theta) ** 2
-    c_adj = c / math.sqrt(law.scale)
-    beta = desc.beta
-    b = c_adj ** (2.0 * (1.0 - beta)) * desc.ell0(c_adj**2)
-    if b <= 0.0:
-        raise ValueError("threshold too small for the asymptotic expansion")
+    c_adj, b = _laplace_rate(law, desc, c)
     return (
-        -b * g_beta(beta, cos_sq)
+        -b * g_beta(desc.beta, cos_sq)
         - 0.5 * math.log(b)
         - law.r_beta(c_adj**2, cos_sq)
-        + n * (1.0 - beta) * math.log(math.cos(theta))
+        + n * (1.0 - desc.beta) * math.log(math.cos(theta))
         - math.log(2.0 * math.sqrt(math.pi) * math.tan(theta))
         + math.log(config.multiplicity / config.n_points)
     )

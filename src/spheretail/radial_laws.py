@@ -44,21 +44,21 @@ class TailClass:
 
     ``beta <= 1`` and ``gamma > 0`` (possibly ``inf``) index the tail decay:
     the tail is asymptotically ``exp(-integral of ell(t)/t^beta)`` with
-    ``ell -> gamma``.  ``ell0_const`` holds the representative slowly varying
-    term when it is constant; ``None`` means the logarithmic representative
-    ``log t``.
+    ``ell -> gamma``.  The representative slowly varying term is the
+    constant ``gamma`` when it is finite and ``log t`` otherwise.
     """
 
     beta: float
     gamma: float
-    ell0_const: float | None
-    regularly_varying: bool
+
+    @property
+    def regularly_varying(self):
+        """Regular variation: ``beta = 1`` with a finite index ``gamma``."""
+        return self.beta == 1.0 and self.gamma < math.inf
 
     def ell0(self, t):
         """Evaluate the representative slowly varying term at ``t``."""
-        if self.ell0_const is None:
-            return np.log(t)
-        return self.ell0_const if np.ndim(t) == 0 else np.full(np.shape(t), self.ell0_const)
+        return np.log(t) if self.gamma == math.inf else self.gamma
 
 
 def g_beta(beta, y):
@@ -150,7 +150,7 @@ class ChiSquare(RadialLaw):
         return rng.gamma(self.nu / 2.0, 2.0, size)
 
     def class_descriptor(self):
-        return TailClass(0.0, 0.5, 0.5, False)
+        return TailClass(0.0, 0.5)
 
     def _r_beta_limit(self, logy):
         return (self.nu - 2.0) / 2.0 * logy
@@ -174,7 +174,7 @@ class Chi(RadialLaw):
         return np.sqrt(rng.gamma(self.nu / 2.0, 2.0, size))
 
     def class_descriptor(self):
-        return TailClass(-1.0, 1.0, 1.0, False)
+        return TailClass(-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class FDist(RadialLaw):
         return num / den
 
     def class_descriptor(self):
-        return TailClass(1.0, self.nu2 / 2.0, self.nu2 / 2.0, True)
+        return TailClass(1.0, self.nu2 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class LogNormal(RadialLaw):
         return np.exp(rng.standard_normal(size))
 
     def class_descriptor(self):
-        return TailClass(1.0, math.inf, None, False)
+        return TailClass(1.0, math.inf)
 
     def _r_beta_limit(self, logy):
         return 0.5 * logy**2
@@ -319,14 +319,15 @@ class Bessel(RadialLaw):
             upper = _sci_special.gammaincc(nu_b / 2.0, xp[:, None] / (2.0 * t))
             integrand = np.exp(log_fdt) * upper
             integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-        out[pos] = (integrand @ _GL_WEIGHTS) * half_width
+        # where the tail is within rounding of 1 the sum can exceed it
+        out[pos] = np.minimum((integrand @ _GL_WEIGHTS) * half_width, 1.0)
         return out
 
     def _base_sample(self, rng, size):
         return rng.gamma(self.nu1 / 2.0, 2.0, size) * rng.gamma(self.nu2 / 2.0, 2.0, size)
 
     def class_descriptor(self):
-        return TailClass(0.5, 0.5, 0.5, False)
+        return TailClass(0.5, 0.5)
 
     def _r_beta_limit(self, logy):
         return (self.nu1 + self.nu2 - 3.0) / 4.0 * logy

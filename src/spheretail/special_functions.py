@@ -6,6 +6,9 @@ Brent root finding.  Each routine is a thin, domain-checked wrapper around
 scheme with an embedded Gauss/Kronrod rule pair that copes with integrable
 endpoint singularities) or ``scipy.optimize.brentq``.
 
+``integrate`` has no caller inside the package; its absolute tolerance of
+1e-14 gives no relative accuracy for integrals below about 1e-14.
+
 Every routine here is a pure function of its inputs and safe for concurrent
 invocation; there is no shared mutable state.
 """
@@ -94,10 +97,9 @@ def reg_inc_gamma_upper(s, x):
 def integrate(f, a, b):
     """Adaptive quadrature of ``f`` over ``[a, b]`` to a fixed tolerance.
 
-    The rule is absolute 1e-14, relative 1e-10, at most 400 subintervals:
-    well below every mixture ratio the package reports.  Integrable endpoint
-    singularities of power type are handled by the underlying extrapolating
-    QUADPACK scheme.  Deterministic for fixed inputs.
+    The rule is absolute 1e-14, relative 1e-10, at most 400 subintervals.
+    Integrable endpoint singularities of power type are handled by the
+    underlying extrapolating QUADPACK scheme.  Deterministic for fixed inputs.
 
     Raises
     ------

@@ -76,6 +76,24 @@ class TestSubcommands:
         assert all(a >= b for a, b in zip(p_hats, p_hats[1:]))
         assert rows[0][3] == "2000" and rows[0][4] == "11"
 
+    def test_simulate_flags_override_the_config(self, tmp_path):
+        flagged, configured = tmp_path / "flags.csv", tmp_path / "config.csv"
+        cfg = write_config(tmp_path / "cfg.json")
+        assert cli.run(["simulate", "--config", str(cfg), "--out", str(flagged),
+                        "--trials", "500", "--seed", "7"]) == 0
+        cfg = write_config(tmp_path / "cfg7.json", trials=500, seed=7)
+        assert cli.run(["simulate", "--config", str(cfg), "--out", str(configured)]) == 0
+        assert flagged.read_bytes() == configured.read_bytes()
+        assert read_csv(flagged)[1][0][3:] == ["500", "7"]
+
+    @pytest.mark.parametrize("command", ["approx", "exact", "error"])
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_simulation_flags_are_usage_errors_elsewhere(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, "--config", str(cfg), flag, "5"])
+        assert exc.value.code == 2
+
     def test_threshold_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert cli.run(

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, ndtr
 
 from spheretail import (
     Bessel,
+    Chi,
     ChiSquare,
     FDist,
     LogNormal,
@@ -26,6 +30,16 @@ from spheretail import (
     solve_threshold,
     tail_dependence,
 )
+
+
+# one law per family; all but Chi(3) are the laws of the reproduce cases
+MIXTURE_LAWS = [
+    ChiSquare(3.0),
+    Chi(3.0),
+    FDist(3.0, 3.0),
+    LogNormal(scale=3.0 * math.exp(-0.5)),
+    Bessel(3.0, 4.0, scale=0.25),
+]
 
 
 def student_t_tail(x, nu):
@@ -273,6 +287,55 @@ class TestMixtureRatio:
             assert d_k_quadrature(gauss_law, 3, 1, 0.0, c) == pytest.approx(
                 expected, rel=1e-8
             )
+
+    def test_frozen_mpmath_values(self, benchmark_config, gauss_law):
+        # 40-digit mpmath quadrature in y; each value is far below the 1e-14
+        # absolute tolerance of adaptive quadrature
+        cases = [
+            (gauss_law, 1.2, 10.0, 2.8157543353e-147),
+            (gauss_law, benchmark_config.theta_star, 20.0, 1.1932319669e-55),
+            (Chi(3.0), 1.2, 2.0, 1.2551106153e-201),
+        ]
+        for law, theta, c, expected in cases:
+            assert d_k_quadrature(law, 3, 1, theta, c) == pytest.approx(
+                expected, rel=1e-5, abs=0.0
+            )
+
+    @pytest.mark.parametrize("law", MIXTURE_LAWS, ids=lambda law: law.family)
+    def test_full_range_times_tail_is_twice_the_marginal(self, law):
+        for n, c in ((3, 0.5), (3, 3.0), (10, 2.0)):
+            assert d_k_quadrature(law, n, 1, 0.0, c) * law.tail(c * c) == pytest.approx(
+                2.0 * marginal_tail(law, n, c), rel=1e-15, abs=0.0
+            )
+
+    @pytest.mark.parametrize("law", MIXTURE_LAWS, ids=lambda law: law.family)
+    def test_matches_adaptive_quadrature(self, benchmark_config, law):
+        # QUADPACK with the scalar integrand in psi = arcsin(sqrt(y)), at an
+        # absolute tolerance of 1e-14: a reference only where D_k > 1e-13
+        compared = 0
+        for n, theta, c in itertools.product(
+            (3, 10), (0.3, benchmark_config.theta_star, 1.2), (1.5, 4.0)
+        ):
+            for k in (1, n - 1):
+                p, q = k / 2.0, (n - k) / 2.0
+                denom = law.tail(c * c)
+
+                def integrand(psi):
+                    weight = 2.0 * math.sin(psi) ** (2 * p - 1) * math.cos(psi) ** (2 * q - 1)
+                    return weight * law.tail(c * c / math.sin(psi) ** 2) / denom
+
+                result = quad(
+                    integrand, 0.0, math.pi / 2.0 - theta,
+                    epsabs=1e-14, epsrel=1e-10, limit=400, full_output=1,
+                )
+                reference = result[0] / beta_function(p, q)
+                value = d_k_quadrature(law, n, k, theta, c)
+                if reference > 1e-13:
+                    compared += 1
+                    assert value == pytest.approx(reference, rel=1e-9, abs=0.0), (
+                        n, k, theta, c
+                    )
+        assert compared >= 8
 
     def test_rv_branch_constant_in_threshold(self, benchmark_config, t_law):
         theta = benchmark_config.theta_star

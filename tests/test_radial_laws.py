@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from spheretail import (
     ChiSquare,
     FDist,
     LogNormal,
+    TailClass,
     UnsupportedLawError,
     g_beta,
     law_from_dict,
@@ -170,6 +172,13 @@ class TestBesselTail:
                 reference = adaptive(f, 0.0, split) + adaptive(f, split, np.inf)
                 assert got == pytest.approx(reference, rel=1e-9)
 
+    def test_never_exceeds_one(self):
+        # the rule's sum rounds above 1 wherever the tail is within 1e-14 of it
+        x = np.logspace(-30.0, 1.0, 2000)
+        for law in (Bessel(3.0, 4.0, scale=0.25), Bessel(20.0, 20.0)):
+            assert law.tail(x).max() <= 1.0
+        assert Bessel(3.0, 4.0).tail(5e-324) <= 1.0
+
     def test_monotone(self):
         # PCHIP mixtures and Brent's method rely on a strictly decreasing
         # tail, also where the per-argument window changes shape.  Within
@@ -242,6 +251,8 @@ class TestTailClasses:
             assert desc.beta == beta
             assert desc.gamma == gamma
             assert desc.regularly_varying is rv
+        # regular variation and ell0 follow from (beta, gamma) alone
+        assert [field.name for field in dataclasses.fields(TailClass)] == ["beta", "gamma"]
 
     def test_ell0_representatives(self):
         assert ChiSquare(3.0).class_descriptor().ell0(100.0) == 0.5
