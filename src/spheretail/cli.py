@@ -34,7 +34,7 @@ class ExperimentConfig:
     configuration: PointConfiguration
     law: object
     c_grid: np.ndarray
-    trials: int
+    trials: object        # as given; only ``simulate`` reads it
     seed: int
     output: str | None
 
@@ -62,14 +62,22 @@ class ExperimentConfig:
             grid = _build_grid(grid_spec["start"], grid_spec["stop"], grid_spec["step"])
         else:
             grid = _build_grid(1.0, 8.0, 0.5)
-        trials = int(getattr(args, "trials", None) or raw.get("trials", 10000))
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
+        trials = getattr(args, "trials", None)
+        if trials is None:
+            trials = raw.get("trials", 10000)  # checked where it is read, by simulate
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = int(raw.get("seed", 0))
         output = getattr(args, "out", None) or raw.get("output")
         return cls(configuration, law, grid, trials, int(seed), output)
+
+
+def _positive_int(text):
+    """argparse type of ``--trials``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_grid(start, stop, step):
@@ -191,7 +199,7 @@ def _run_reproduce(args):
     configuration = PointConfiguration.from_correlation(_benchmark_correlation())
     law = case["law"]
     grid = _parse_grid(args.c_grid) if args.c_grid else _build_grid(*case["grid"])
-    trials = args.trials or 10000
+    trials = args.trials if args.trials is not None else 10000
     seed = args.seed if args.seed is not None else 20250810
     sim = montecarlo.simulate_pmax(configuration, law, grid, trials, seed)
     rows = []
@@ -232,9 +240,11 @@ def _run_exact(exp):
 
 
 def _run_simulate(exp):
-    sim = montecarlo.simulate_pmax(
-        exp.configuration, exp.law, exp.c_grid, exp.trials, exp.seed
-    )
+    try:
+        trials = int(exp.trials)
+    except (TypeError, ValueError):
+        raise ValueError(f"trials must be an integer, got {exp.trials!r}") from None
+    sim = montecarlo.simulate_pmax(exp.configuration, exp.law, exp.c_grid, trials, exp.seed)
     rows = [
         [c, p, se, sim.trials, sim.seed]
         for c, p, se in zip(sim.c_grid, sim.estimates, sim.standard_errors)
@@ -297,7 +307,7 @@ def _build_parser():
     add_common(sub.add_parser("exact", help="exact excursion probability grid"))
     sim = sub.add_parser("simulate", help="Monte Carlo estimate grid")
     add_common(sim)
-    sim.add_argument("--trials", type=int, help="Monte Carlo trials")
+    sim.add_argument("--trials", type=_positive_int, help="Monte Carlo trials")
     sim.add_argument("--seed", type=int, help="simulation seed")
     add_common(sub.add_parser("error", help="relative error with predictions and bounds"))
 
@@ -310,7 +320,8 @@ def _build_parser():
     rep.add_argument("--case", choices=sorted(REPRODUCE_CASES), required=True)
     rep.add_argument("--out", help="output CSV path")
     rep.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
-    rep.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
+    rep.add_argument("--trials", type=_positive_int,
+                     help="Monte Carlo trials (default 10000)")
     rep.add_argument("--seed", type=int, help="simulation seed (default 20250810)")
     return parser
 

@@ -18,14 +18,18 @@ is built by Simpson's rule on a fixed grid of 4097 cosine-spaced nodes in
 psi = arcsin(sqrt(y)), dense at both ends of [0, pi/2] where the tail
 varies fastest for small and for large c.  Its total is the marginal, so
 P_tube, P and Delta all come from the same mixture: P_tube - P is the sum
-of the per-point overlap corrections read off the interpolated mixture,
-and Delta is that sum divided by P_tube, never a difference of two
-separately computed probabilities.  The tail-ratio mixture D_k(theta, c)
-takes the same rule with the grid mapped onto [0, pi/2 - theta].  Averages
-over normal directions use the fixed equal-weight rule of
+of the per-point overlap corrections, each the mixture's monotone (PCHIP)
+interpolant averaged over the point's normal directions, and Delta is
+that sum divided by P_tube, never a difference of two separately computed
+probabilities.  The tail-ratio mixture D_k(theta, c) takes the same rule
+with the grid mapped onto [0, pi/2 - theta].  Averages over normal
+directions use the fixed equal-weight rule of
 ``PointConfiguration.normal_directions``, so all results are
-deterministic.  Thresholds are solved by Brent's method on log P(c) inside
-a doubling bracket.
+deterministic.  They are linear in the interpolant's cubic pieces: power
+moments of the directions' offsets within each piece are accumulated once
+per configuration, and every average is then one dot product with the
+piece coefficients.  Thresholds are solved by Brent's method on log P(c)
+inside a doubling bracket.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -33,11 +37,12 @@ Everything here is pure and thread-safe; grid sweeps may run concurrently.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .radial_laws import UnsupportedLawError, g_beta
 from .special_functions import find_root, reg_inc_beta
@@ -66,37 +71,62 @@ PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mi
 # beta-mixture integrals
 # ----------------------------------------------------------------------
 
+def _psi_grid(psi_hi):
+    """``PSI_NODES`` cosine-spaced nodes on [0, psi_hi], dense at both ends."""
+    return psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
+
+
+def _psi_piece(psi, x):
+    """Index j of the piece [psi_j, psi_{j+1}) of the full grid ``psi`` that
+    holds each x in [0, pi/2]; the last piece also holds pi/2.
+
+    Inverts the cosine spacing of ``_psi_grid``, then moves the estimate by
+    at most one piece either way against the nodes themselves, so the result
+    is exact; a binary search is several times slower on unsorted x.
+    """
+    last = PSI_NODES - 2
+    estimate = np.arccos(1.0 - x * (4.0 / math.pi)) * ((PSI_NODES - 1) / math.pi)
+    j = np.minimum(estimate.astype(np.intp), last)
+    j -= psi[j] > x
+    j += psi[j + 1] <= x
+    return np.minimum(j, last)
+
+
+def _beta_density(psi, p, q):
+    """Beta(p, q) density transported to y = sin^2(psi), singularities absorbed."""
+    weight = 2.0 * np.sin(psi) ** (2.0 * p - 1.0) * np.cos(psi) ** (2.0 * q - 1.0)
+    return weight / _sci_special.beta(p, q)
+
+
 def _cumulative_mixture(law, n, k, c, psi_hi):
     """Nodes psi on [0, psi_hi], cosine-spaced, and at each the cumulative
     ``int_0^{sin^2 psi} tail(c^2 / y) dBeta_{k/2,(n-k)/2}(y)`` by Simpson's rule."""
-    p, q = k / 2.0, (n - k) / 2.0
-    psi = psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
+    psi = _psi_grid(psi_hi)
     y = np.sin(psi) ** 2
     values = np.zeros(PSI_NODES)  # tail vanishes at y -> 0 faster than any power
     values[1:] = law.tail(c * c / y[1:])
-    # Beta(p, q) density transported to y = sin^2(psi), singularities absorbed
-    weight = 2.0 * np.sin(psi) ** (2.0 * p - 1.0) * np.cos(psi) ** (2.0 * q - 1.0)
-    integrand = weight / _sci_special.beta(p, q) * values
+    integrand = _beta_density(psi, k / 2.0, (n - k) / 2.0) * values
     return psi, _sci_integrate.cumulative_simpson(integrand, x=psi, initial=0.0)
+
+
+def _pieces(spline):
+    """Coefficients of a cubic spline's pieces in ascending powers of
+    psi - psi_j, flattened piece-major to match ``_profile_moments``."""
+    return spline.c[::-1].ravel()
 
 
 class _BetaMixture:
     """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{1/2,(n-1)/2}(y).
 
-    Built once per (law, n, c) on the full range psi in [0, pi/2];
-    evaluation interpolates monotonically.
+    Built once per (law, n, c) on the full range psi in [0, pi/2] and kept
+    as the pieces of its monotone (PCHIP) interpolant in psi.
     """
 
     def __init__(self, law, n, c):
         psi, cum = _cumulative_mixture(law, n, 1, c, math.pi / 2.0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._interp = PchipInterpolator(psi, cum)
+            self.coef = _pieces(PchipInterpolator(psi, cum))
         self.total = float(cum[-1])
-
-    def partial(self, a):
-        """Mixture mass of [0, a]; vectorized in ``a``."""
-        a = np.clip(np.asarray(a, dtype=float), 0.0, 1.0)
-        return self._interp(np.arcsin(np.sqrt(a)))
 
 
 @lru_cache(maxsize=512)
@@ -120,22 +150,48 @@ def marginal_tail(law, n, c):
 
 
 # ----------------------------------------------------------------------
-# normal-direction profiles
+# normal-direction moments
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _normal_profiles(config):
-    """Per-point arrays of cos^2 local angles over ``config.normal_directions``.
+class _ProfileMoments(NamedTuple):
+    per_point: np.ndarray  # (N, 4 * pieces): per-point means of s^k, k <= 3
+    pooled: np.ndarray     # (degree + 1, pieces): sums of s^k over all points
+    size: int              # directions per point
 
-    Returns a list of 1-d arrays (equal-weight nodes); a single point has
-    the one profile [0].
+
+@lru_cache(maxsize=64)
+def _profile_moments(config):
+    """Power moments of the cos^2 local angles over ``config.normal_directions``.
+
+    Each direction's squared cosine a maps to x = arcsin(sqrt(a)) in piece j
+    of the psi grid, at offset s = x - psi_j.  Any cubic spline on that grid
+    then averages over the directions of point i as ``per_point[i] @ coef``
+    (coefficients from ``_pieces``), and for n > 3 its square sums over all
+    directions through ``pooled``.  A single point has the one direction a = 0.
     """
-    if config.n_points == 1:
-        return [np.zeros(1)]
-    return [
-        config.cos_sq_local_angle(i, config.normal_directions(i))
-        for i in range(config.n_points)
-    ]
+    psi = _psi_grid(math.pi / 2.0)
+    pieces = PSI_NODES - 1
+    n_points = config.n_points
+    degree = 6 if config.dim > 3 else 3  # s^4..s^6 serve only the n > 3 se
+    per_point = np.empty((n_points, 4, pieces))
+    pooled = np.zeros((degree + 1, pieces))
+    for i in range(n_points):
+        if n_points == 1:
+            a = np.zeros(1)
+        else:
+            a = config.cos_sq_local_angle(i, config.normal_directions(i))
+        x = np.arcsin(np.sqrt(a))
+        j = _psi_piece(psi, x)
+        s = x - psi[j]
+        power = np.ones_like(s)
+        for k in range(degree + 1):
+            sums = np.bincount(j, weights=power, minlength=pieces)
+            pooled[k] += sums
+            if k < 4:
+                per_point[i, k] = sums
+            power *= s
+    per_point /= a.size
+    return _ProfileMoments(per_point.reshape(n_points, -1), pooled, a.size)
 
 
 # ----------------------------------------------------------------------
@@ -157,18 +213,28 @@ def _tube_and_corrections(config, law, c):
     """P_tube, the correction sum P_tube - P, and its standard error.
 
     Everything comes from the one mixture of (law, n, c): its total gives
-    the tube sum, and one pass over the normal-direction profiles gives the
-    per-point overlap corrections and the Monte Carlo standard error of
-    their direction averages (zero on the deterministic n <= 3 paths).
+    the tube sum, and its interpolant's pieces, applied to the precomputed
+    direction moments, give the per-point overlap corrections (half the
+    mixture mass below each direction's cos^2 local angle, averaged) and
+    the iid standard error of those direction averages (zero on the
+    deterministic n <= 3 paths).
     """
     tube = p_tube(config, law, c)
-    mix = _mixture(law, config.dim, c)
-    corrections = var = 0.0
-    for a in _normal_profiles(config):
-        vals = 0.5 * mix.partial(a)
-        corrections += float(np.mean(vals))
-        var += np.var(vals) / vals.size
-    return tube, corrections, math.sqrt(var) if config.dim > 3 else 0.0
+    coef = _mixture(law, config.dim, c).coef
+    moments = _profile_moments(config)
+    means = 0.5 * (moments.per_point @ coef)
+    corrections = float(np.sum(means))
+    if config.dim <= 3:
+        return tube, corrections, 0.0
+    # sum of squares of the interpolant over every direction, from the
+    # ascending coefficients of its square (degree 6) on each piece
+    coef = coef.reshape(4, -1)
+    square = np.zeros((7, coef.shape[1]))
+    for k in range(4):
+        square[k:k + 4] += coef[k] * coef
+    second_moment = 0.25 * float(square.ravel() @ moments.pooled.ravel()) / moments.size
+    var = max(second_moment - float(np.sum(means * means)), 0.0) / moments.size
+    return tube, corrections, math.sqrt(var)
 
 
 def _relative_error(tube, corrections, c):
@@ -207,17 +273,24 @@ def delta_rv_limit(config, gamma):
 
     Averages the Beta(gamma + 1/2, (n-1)/2) distribution function of the
     squared cosine of the local angle over the normal directions of every
-    point.  Zero for a single point.
+    point.  The distribution function enters as its cubic Hermite
+    interpolant on the psi grid, with the exact density as slope, averaged
+    through the direction moments.  Zero for a single point.
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the limiting error requires a finite positive index")
     if config.n_points == 1:
         return 0.0
-    n = config.dim
-    acc = 0.0
-    for a in _normal_profiles(config):
-        acc += float(np.mean(reg_inc_beta(a, gamma + 0.5, (n - 1) / 2.0)))
-    return acc / config.n_points
+    p, q = gamma + 0.5, (config.dim - 1) / 2.0
+    psi = _psi_grid(math.pi / 2.0)
+    cdf = CubicHermiteSpline(
+        psi, reg_inc_beta(np.sin(psi) ** 2, p, q), _beta_density(psi, p, q)
+    )
+    per_point = _profile_moments(config).per_point
+    mean = float(np.sum(per_point @ _pieces(cdf))) / config.n_points
+    # the cubic dips below 0 on the first piece by amounts far below any
+    # nonzero average, so only an average that vanishes can come out negative
+    return max(mean, 0.0)
 
 
 def _rv_gamma(law):

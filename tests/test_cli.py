@@ -94,6 +94,29 @@ class TestSubcommands:
             cli.run([command, "--config", str(cfg), flag, "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_flag_is_a_usage_error(self, tmp_path, capsys, command, trials):
+        cfg = write_config(tmp_path / "cfg.json")
+        source = ["--config", str(cfg)] if command == "simulate" else ["--case", "gauss"]
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, *source, "--trials", trials, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("trials, message", [(0, "at least 1"), (None, "an integer")])
+    def test_config_trials_are_checked_by_simulate_only(self, tmp_path, capsys, trials, message):
+        cfg = write_config(tmp_path / "cfg.json", trials=trials)
+        for argv in (["approx"], ["exact"], ["error"],
+                     ["threshold", "--target", "0.05", "--method", "tube"]):
+            out = str(tmp_path / f"{argv[0]}.csv")
+            assert cli.run([*argv, "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "sim.csv")
+        assert cli.run(["simulate", "--config", str(cfg), "--out", out]) == 1
+        assert f"trials must be {message}" in capsys.readouterr().err
+
     def test_threshold_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert cli.run(

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, ndtr
 
+from spheretail import excursion
 from spheretail import (
     Bessel,
     Chi,
@@ -202,6 +204,86 @@ class TestDeltaExact:
     def test_underflowing_tube_is_a_numerical_failure(self, benchmark_config, gauss_law):
         with pytest.raises(FloatingPointError, match="c=40"):
             delta_exact(benchmark_config, gauss_law, 40.0)
+
+
+def random_config(n, n_points, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n_points, n))
+    return PointConfiguration.from_points(points / np.linalg.norm(points, axis=1, keepdims=True))
+
+
+# configurations of every direction rule: n = 2 and 3 (anchored), n > 3 (Sobol),
+# plus a single point and an antipodal pair
+MOMENT_CONFIGS = [
+    *(random_config(n, n_points, seed=n) for n, n_points in ((2, 3), (3, 4), (5, 6), (10, 8))),
+    PointConfiguration.from_points([[1.0, 0.0, 0.0]]),
+    PointConfiguration.from_points([[0.0, 0.0, 0.0, 0.0, 1.0]]),
+    PointConfiguration.from_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+    PointConfiguration.from_points([[1.0, 0.0], [-1.0, 0.0]]),
+]
+
+
+def per_node_profiles(config):
+    """cos^2 local angles at every node of the direction rule, point by point."""
+    if config.n_points == 1:
+        return [np.zeros(1)]
+    return [
+        config.cos_sq_local_angle(i, config.normal_directions(i))
+        for i in range(config.n_points)
+    ]
+
+
+class TestDirectionMoments:
+    """The moment form of the direction averages against node-by-node evaluation."""
+
+    def test_piece_index_matches_binary_search(self):
+        psi = excursion._psi_grid(math.pi / 2.0)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            psi, np.nextafter(psi[1:], 0.0), np.nextafter(psi[:-1], 2.0),
+            rng.uniform(0.0, math.pi / 2.0, 10**5),
+            np.arcsin(np.sqrt(rng.uniform(0.0, 1e-12, 10**4))), [5e-324, 1e-300],
+        ])
+        expected = np.clip(np.searchsorted(psi, x, side="right") - 1, 0, psi.size - 2)
+        assert np.array_equal(excursion._psi_piece(psi, x), expected)
+
+    @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
+    def test_corrections_and_se_match_per_node_pchip(self, config):
+        n = config.dim
+        for law in (ChiSquare(float(n)), FDist(float(n), 3.0)):
+            for c in (0.5, 2.0, 5.0):
+                psi, cum = excursion._cumulative_mixture(law, n, 1, c, math.pi / 2.0)
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    mixture = PchipInterpolator(psi, cum)
+                corrections = var = 0.0
+                for a in per_node_profiles(config):
+                    vals = 0.5 * mixture(np.arcsin(np.sqrt(a)))
+                    corrections += vals.mean()
+                    var += vals.var() / vals.size
+                tube = p_tube(config, law, c)
+                value, se = p_exact(config, law, c, with_se=True)
+                assert delta_exact(config, law, c) == pytest.approx(
+                    corrections / tube, rel=1e-13, abs=0.0
+                )
+                assert value == pytest.approx(tube - corrections, rel=1e-13, abs=0.0)
+                expected_se = math.sqrt(var) if n > 3 else 0.0
+                assert se == pytest.approx(expected_se, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
+    def test_rv_limit_matches_per_node_betainc(self, config):
+        for gamma in (0.5, 1.5, 5.0):
+            p, q = gamma + 0.5, (config.dim - 1) / 2.0
+            expected = np.mean(
+                [betainc(p, q, a).mean() for a in per_node_profiles(config)]
+            )
+            assert delta_rv_limit(config, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_rv_limit_is_not_negative_where_it_vanishes(self):
+        # rounding leaves cos^2 angles of 1.8e-34 at this antipodal pair, where
+        # the cubic pieces of the Beta distribution function dip below 0
+        config = PointConfiguration.from_points([[0.6, 0.8], [-0.6, -0.8]])
+        for gamma in (0.5, 1.5, 5.0):
+            assert 0.0 <= delta_rv_limit(config, gamma) < 1e-30
 
 
 class TestRegularlyVaryingLimit:
