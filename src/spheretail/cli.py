@@ -35,7 +35,7 @@ class ExperimentConfig:
     law: object
     c_grid: np.ndarray
     trials: object        # as given; only ``simulate`` reads it
-    seed: int
+    seed: object          # as given; only ``simulate`` reads it
     output: str | None
 
     @classmethod
@@ -67,9 +67,9 @@ class ExperimentConfig:
             trials = raw.get("trials", 10000)  # checked where it is read, by simulate
         seed = getattr(args, "seed", None)
         if seed is None:
-            seed = int(raw.get("seed", 0))
+            seed = raw.get("seed", 0)  # checked where it is read, by simulate
         output = getattr(args, "out", None) or raw.get("output")
-        return cls(configuration, law, grid, trials, int(seed), output)
+        return cls(configuration, law, grid, trials, seed, output)
 
 
 def _positive_int(text):
@@ -239,12 +239,17 @@ def _run_exact(exp):
     return ["c", "p_exact"], rows
 
 
-def _run_simulate(exp):
+def _config_int(name, value):
     try:
-        trials = int(exp.trials)
+        return int(value)
     except (TypeError, ValueError):
-        raise ValueError(f"trials must be an integer, got {exp.trials!r}") from None
-    sim = montecarlo.simulate_pmax(exp.configuration, exp.law, exp.c_grid, trials, exp.seed)
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _run_simulate(exp):
+    trials = _config_int("trials", exp.trials)
+    seed = _config_int("seed", exp.seed)
+    sim = montecarlo.simulate_pmax(exp.configuration, exp.law, exp.c_grid, trials, seed)
     rows = [
         [c, p, se, sim.trials, sim.seed]
         for c, p, se in zip(sim.c_grid, sim.estimates, sim.standard_errors)

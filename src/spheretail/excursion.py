@@ -28,8 +28,8 @@ directions use the fixed equal-weight rule of
 deterministic.  They are linear in the interpolant's cubic pieces: power
 moments of the directions' offsets within each piece are accumulated once
 per configuration, and every average is then one dot product with the
-piece coefficients.  Thresholds are solved by Brent's method on log P(c)
-inside a doubling bracket.
+piece coefficients.  Thresholds are solved on log P(c) by steps steered by
+the radial law's scalar tail, so that a solve builds few mixtures.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -438,13 +438,31 @@ def log_delta_asymptotic(config, law, c):
 # threshold solving and tail dependence
 # ----------------------------------------------------------------------
 
+# Ends of the threshold search.  P(0+) >= 1/2 for both methods, so a target
+# below 1/2 is reached above _C_LO unless the law has mass near 0; c^2 stays
+# finite up to _C_HI.
+_C_LO = 1e-6
+_C_HI = 2.0**200
+
+
 def solve_threshold(config, law, target, method="tube"):
     """Threshold c with P(c) equal to ``target`` for the chosen probability.
 
     ``method`` selects the Bonferroni sum (``"tube"``, raw, uncapped) or the
-    exact probability (``"exact"``).  The upper bracket doubles until the
-    probability falls below the target, then Brent's method finds the root
-    of log P(c) - log(target), which is close to linear in the tail.
+    exact probability (``"exact"``).  Every evaluation of P builds a beta
+    mixture, so the radial law's own tail steers the search.  In t = log c,
+    log P = G + Q with the scalar G(t) = log tail(e^(2t)) and the slowly
+    varying Q = log(P / tail(c^2)).  Each step solves G + Q_hat = log(target)
+    for the next point, with Q_hat equal to log(N/2) first (P <= (N/2)
+    tail(c^2), so that point lies above the root), then the last Q, then the
+    secant line through the last two Q.  A bisection in c replaces a step
+    whose root leaves the bracket set by the signs of the evaluated P, or
+    that is not below half the step before last.  The search returns the
+    root of the secant through the last two log P, kept inside the bracket,
+    once it moves c by at most tol = 1e-10 (1 + c), or once the curvature
+    through the last three puts it within tol / 100 of the root.  A target
+    below 1/2 is checked against P at c = 1e-6 only when the tail bound
+    cannot rule out that P falls below it there.
     """
     if method == "tube":
         prob = p_tube
@@ -452,29 +470,73 @@ def solve_threshold(config, law, target, method="tube"):
         prob = p_exact
     else:
         raise ValueError("method must be 'tube' or 'exact'")
-    lo = 1e-6
-    p_lo = prob(config, law, lo)
-    if not 0.0 < target < min(1.0, p_lo):
-        raise ValueError(
-            f"target {target} is not attainable (must lie in (0, {min(1.0, p_lo):.6g}))"
-        )
-    hi = 1.0
-    for _ in range(200):
-        if prob(config, law, hi) < target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("failed to bracket the threshold")
 
-    def log_excess(c):
-        value = prob(config, law, c)
+    def check_lower_end():
+        p_lo = prob(config, law, _C_LO)
+        if not 0.0 < target < min(1.0, p_lo):
+            raise ValueError(
+                f"target {target} is not attainable (must lie in (0, {min(1.0, p_lo):.6g}))"
+            )
+
+    def guide(t):
+        return math.log(max(law.tail(math.exp(2.0 * t)), math.ulp(0.0)))
+
+    lo, hi = math.log(_C_LO), math.log(_C_HI)  # bracket in t = log c
+    lo_seen = hi_seen = False                   # whether P was evaluated at each end
+    q_first = math.log(config.n_points / 2.0)
+    if not 0.0 < target < 0.5 or guide(lo) + q_first <= math.log(target):
+        check_lower_end()
+        lo_seen = True
+    log_target = math.log(target)
+    points = []                                 # (t, log(P / target), Q) per evaluation
+    while True:
+        t_b, q_b, slope = 0.0, q_first, 0.0
+        if points:
+            t_b, f_b, q_b = points[-1]
+        if len(points) >= 2:
+            t_a, f_a, q_a = points[-2]
+            slope = (q_b - q_a) / (t_b - t_a)
+            secant = (f_b - f_a) / (t_b - t_a)
+            t_sec = t_b - f_b / secant if secant != 0.0 else 0.5 * (lo + hi)
+            c = math.exp(min(max(t_sec, lo), hi))
+            tol = 1e-10 * (1.0 + c)
+            if abs(c - math.exp(t_b)) <= tol:
+                break
+            if len(points) >= 3 and secant != 0.0 and lo <= t_sec <= hi:
+                # error of the secant root from the curvature of the last three
+                t_0, f_0, _ = points[-3]
+                curvature = (secant - (f_a - f_0) / (t_a - t_0)) / (t_b - t_0)
+                if c * abs(curvature * (t_sec - t_a) * (t_sec - t_b) / secant) <= 0.01 * tol:
+                    break
+
+        def model(t):
+            return guide(t) + q_b + slope * (t - t_b) - log_target
+
+        t = find_root(model, lo, hi) if model(lo) > 0.0 > model(hi) else lo
+        stalled = len(points) >= 3 and abs(math.exp(t) - math.exp(t_b)) > 0.5 * abs(
+            math.exp(points[-2][0]) - math.exp(points[-3][0])
+        )
+        if not lo < t < hi or stalled:
+            t = math.log(0.5 * (math.exp(lo) + math.exp(hi)))
+        value = prob(config, law, math.exp(t))
         if value <= 0.0:
             raise ValueError(
-                f"P underflows to 0 at c={c:.6g} while solving for target {target}"
+                f"P underflows to 0 at c={math.exp(t):.6g} while solving for target {target}"
             )
-        return math.log(value) - math.log(target)
-
-    return find_root(log_excess, lo, hi)
+        f = math.log(value) - log_target
+        if f == 0.0:
+            return math.exp(t)
+        points.append((t, f, math.log(value) - guide(t)))
+        if f > 0.0:
+            lo, lo_seen = t, True
+        else:
+            hi, hi_seen = t, True
+    # an end never evaluated is checked when the search ends next to it
+    if not lo_seen and c - _C_LO <= tol:
+        check_lower_end()
+    if not hi_seen and _C_HI - c <= tol:
+        raise ValueError("failed to bracket the threshold")
+    return c
 
 
 def tail_dependence(config, law):

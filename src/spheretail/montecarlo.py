@@ -62,7 +62,7 @@ def _tmax_chunks(config, law, trials, seed):
         r_sq = law.sample(generator, size)
         z = generator.standard_normal((size, config.dim))
         eta = z / np.linalg.norm(z, axis=1, keepdims=True)
-        yield np.sqrt(r_sq) * (eta @ config.points.T).max(axis=1)
+        yield np.sqrt(r_sq) * (config.points @ eta.T).max(axis=0)
 
 
 def sample_tmax(config, law, trials, seed):

@@ -117,6 +117,19 @@ class TestSubcommands:
         assert cli.run(["simulate", "--config", str(cfg), "--out", out]) == 1
         assert f"trials must be {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [None, "eleven"])
+    def test_config_seed_is_checked_by_simulate_only(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "cfg.json", seed=seed)
+        for argv in (["approx"], ["exact"], ["error"],
+                     ["threshold", "--target", "0.05", "--method", "tube"]):
+            out = str(tmp_path / f"{argv[0]}.csv")
+            assert cli.run([*argv, "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "sim.csv")
+        assert cli.run(["simulate", "--config", str(cfg), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: seed must be an integer, got {seed!r}\n"
+
     def test_threshold_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert cli.run(

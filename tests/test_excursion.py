@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, ndtr
 
@@ -32,6 +33,7 @@ from spheretail import (
     solve_threshold,
     tail_dependence,
 )
+from spheretail.cli import REPRODUCE_CASES
 
 
 # one law per family; all but Chi(3) are the laws of the reproduce cases
@@ -585,16 +587,50 @@ class TestThresholdSolving:
         with pytest.raises(ValueError, match="attainable"):
             solve_threshold(benchmark_config, t_law, 0.95, method="exact")
 
+    def test_search_ends_are_checked_when_reached(self, benchmark_config):
+        # the law's mass near 0 keeps P(1e-6) below a target that the tail
+        # bound cannot rule out, so the search runs down to c = 1e-6
+        with pytest.raises(ValueError, match=r"target 0.3 is not attainable"):
+            solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
+        # F(3, 0.01) still exceeds the target at c = 2^200
+        with pytest.raises(ValueError, match="failed to bracket the threshold"):
+            solve_threshold(benchmark_config, FDist(3.0, 0.01), 0.1, method="tube")
+
     def test_unknown_method(self, benchmark_config, t_law):
         with pytest.raises(ValueError, match="method"):
             solve_threshold(benchmark_config, t_law, 0.05, method="simulate")
 
+    def test_deep_tail_target_is_solved(self, benchmark_config, gauss_law):
+        # P_tube = 1.5 erfc(c / sqrt(2)) is still a normal float at c = 37.08
+        c = solve_threshold(benchmark_config, gauss_law, 1e-300, method="tube")
+        assert p_tube(benchmark_config, gauss_law, c) == pytest.approx(1e-300, rel=1e-9)
+
     def test_underflow_at_bracket_end_names_target_and_threshold(
         self, benchmark_config, gauss_law
     ):
-        # the doubling bracket stops at c = 64, where the Gaussian tail is 0
-        with pytest.raises(ValueError, match=r"c=64.*target 1e-300"):
-            solve_threshold(benchmark_config, gauss_law, 1e-300, method="tube")
+        # the computed tail, and with it P, drops to 0 near c = 37.9414 before P
+        # reaches 1e-320, and the first point, where the tail bound meets the
+        # target, already lies there
+        with pytest.raises(ValueError, match=r"c=37\.94\d* while solving for target 1e-320"):
+            solve_threshold(benchmark_config, gauss_law, 1e-320, method="tube")
+
+    @pytest.mark.parametrize("target", [0.3, 0.1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("method", ["tube", "exact"])
+    @pytest.mark.parametrize("case", sorted(REPRODUCE_CASES))
+    def test_few_mixture_builds_and_brent_accuracy(self, benchmark_config, case, method, target):
+        law = REPRODUCE_CASES[case]["law"]
+        excursion._mixture.cache_clear()
+        c = solve_threshold(benchmark_config, law, target, method=method)
+        builds = excursion._mixture.cache_info().misses
+        assert builds <= (6 if target <= 0.1 else 8)
+        prob = p_tube if method == "tube" else p_exact
+
+        def log_excess(x):
+            return math.log(prob(benchmark_config, law, x)) - math.log(target)
+
+        tol = 1e-10 * (1.0 + c)
+        reference = brentq(log_excess, c - 10.0 * tol, c + 10.0 * tol, xtol=1e-14)
+        assert abs(c - reference) <= tol
 
 
 class TestTailDependence:
