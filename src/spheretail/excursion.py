@@ -115,23 +115,21 @@ def _pieces(spline):
     return spline.c[::-1].ravel()
 
 
-class _BetaMixture:
-    """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{1/2,(n-1)/2}(y).
+class _BetaMixture(NamedTuple):
+    """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{1/2,(n-1)/2}(y),
+    built once per (law, n, c) by ``_mixture`` and kept as the pieces of its
+    monotone (PCHIP) interpolant in psi."""
 
-    Built once per (law, n, c) on the full range psi in [0, pi/2] and kept
-    as the pieces of its monotone (PCHIP) interpolant in psi.
-    """
-
-    def __init__(self, law, n, c):
-        psi, cum = _cumulative_mixture(law, n, 1, c, math.pi / 2.0)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self.coef = _pieces(PchipInterpolator(psi, cum))
-        self.total = float(cum[-1])
+    coef: np.ndarray  # piece coefficients on the full psi grid, from ``_pieces``
+    total: float      # the integral over all of (0, 1]
 
 
 @lru_cache(maxsize=512)
 def _mixture(law, n, c):
-    return _BetaMixture(law, n, c)
+    psi, cum = _cumulative_mixture(law, n, 1, c, math.pi / 2.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        coef = _pieces(PchipInterpolator(psi, cum))
+    return _BetaMixture(coef, float(cum[-1]))
 
 
 def marginal_tail(law, n, c):
@@ -462,7 +460,8 @@ def solve_threshold(config, law, target, method="tube"):
     once it moves c by at most tol = 1e-10 (1 + c), or once the curvature
     through the last three puts it within tol / 100 of the root.  A target
     below 1/2 is checked against P at c = 1e-6 only when the tail bound
-    cannot rule out that P falls below it there.
+    cannot rule out that P falls below it there, or when a second bisection
+    in a row heads towards that end with every P so far below the target.
     """
     if method == "tube":
         prob = p_tube
@@ -489,6 +488,7 @@ def solve_threshold(config, law, target, method="tube"):
         lo_seen = True
     log_target = math.log(target)
     points = []                                 # (t, log(P / target), Q) per evaluation
+    bisected = False                            # whether the last step was a bisection
     while True:
         t_b, q_b, slope = 0.0, q_first, 0.0
         if points:
@@ -516,8 +516,15 @@ def solve_threshold(config, law, target, method="tube"):
         stalled = len(points) >= 3 and abs(math.exp(t) - math.exp(t_b)) > 0.5 * abs(
             math.exp(points[-2][0]) - math.exp(points[-3][0])
         )
-        if not lo < t < hi or stalled:
+        bisect = not lo < t < hi or stalled
+        if bisect:
+            if bisected and not lo_seen:
+                # every P so far is below the target and the search keeps
+                # halving c towards the lower end: check that end first
+                check_lower_end()
+                lo_seen = True
             t = math.log(0.5 * (math.exp(lo) + math.exp(hi)))
+        bisected = bisect
         value = prob(config, law, math.exp(t))
         if value <= 0.0:
             raise ValueError(

@@ -44,11 +44,11 @@ class PointConfiguration:
     points : ndarray of shape (N, n)
         Unit vectors (rows).
     correlation : ndarray of shape (N, N)
-        Gram matrix rho with rho[i, j] = <u_i, u_j>.
+        Gram matrix rho with rho[i, j] = <u_i, u_j>, derived from the points.
     """
 
     points: np.ndarray
-    correlation: np.ndarray = field(default=None)
+    correlation: np.ndarray = field(init=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -63,12 +63,6 @@ class PointConfiguration:
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise ValueError("all points must be unit vectors")
         gram = points @ points.T
-        if self.correlation is not None:
-            given = np.asarray(self.correlation, dtype=float)
-            if given.shape != (n_points, n_points):
-                raise ValueError("correlation matrix shape does not match points")
-            if np.max(np.abs(given - gram)) > 1e-10:
-                raise ValueError("correlation matrix is inconsistent with the points")
         off = gram[~np.eye(n_points, dtype=bool)]
         if off.size and np.max(off) >= 1.0 - _GRAM_TOL:
             raise ValueError("duplicated points (off-diagonal correlation equal to 1)")
@@ -162,10 +156,6 @@ class PointConfiguration:
         if self.is_degenerate:
             return math.inf
         return math.sqrt((1.0 - self.rho_star) / (1.0 + self.rho_star))
-
-    def critical_radius(self):
-        """Critical radius of the configuration (see ``theta_star``)."""
-        return self.theta_star
 
     @cached_property
     def multiplicity(self):

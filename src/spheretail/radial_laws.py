@@ -13,7 +13,7 @@ passed generator.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy import special as _sci_special
@@ -82,9 +82,16 @@ def g_beta(beta, y):
 
 
 class RadialLaw:
-    """Base class for the law of the squared radial part."""
+    """Base class for the law of the squared radial part; each family is a
+    frozen dataclass whose fields are its parameters, all positive."""
 
     family = "base"
+
+    def __post_init__(self):
+        for param in fields(self):
+            value = getattr(self, param.name)
+            if not value > 0.0:
+                raise ValueError(f"{param.name} must be positive, got {value}")
 
     def tail(self, x):
         """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays."""
@@ -120,16 +127,7 @@ class RadialLaw:
         )
 
     def to_dict(self):
-        out = {"family": self.family, "scale": self.scale}
-        for key in ("nu", "nu1", "nu2"):
-            if hasattr(self, key):
-                out[key] = getattr(self, key)
-        return out
-
-    def _validate_positive(self, **fields):
-        for name, value in fields.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        return {"family": self.family, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,6 @@ class ChiSquare(RadialLaw):
     nu: float
     scale: float = 1.0
     family = "chi_square"
-
-    def __post_init__(self):
-        self._validate_positive(nu=self.nu, scale=self.scale)
 
     def _base_tail(self, x):
         return reg_inc_gamma_upper(self.nu / 2.0, x / 2.0)
@@ -164,9 +159,6 @@ class Chi(RadialLaw):
     scale: float = 1.0
     family = "chi"
 
-    def __post_init__(self):
-        self._validate_positive(nu=self.nu, scale=self.scale)
-
     def _base_tail(self, x):
         return reg_inc_gamma_upper(self.nu / 2.0, x * x / 2.0)
 
@@ -185,9 +177,6 @@ class FDist(RadialLaw):
     nu2: float
     scale: float = 1.0
     family = "f"
-
-    def __post_init__(self):
-        self._validate_positive(nu1=self.nu1, nu2=self.nu2, scale=self.scale)
 
     def _base_tail(self, x):
         t = self.nu2 / (self.nu1 * x + self.nu2)
@@ -208,9 +197,6 @@ class LogNormal(RadialLaw):
 
     scale: float = 1.0
     family = "log_normal"
-
-    def __post_init__(self):
-        self._validate_positive(scale=self.scale)
 
     def _base_tail(self, x):
         out = np.ones_like(x)
@@ -284,9 +270,6 @@ class Bessel(RadialLaw):
     scale: float = 1.0
     family = "bessel"
 
-    def __post_init__(self):
-        self._validate_positive(nu1=self.nu1, nu2=self.nu2, scale=self.scale)
-
     def _base_tail(self, x):
         out = np.ones_like(x)
         pos = x > 0.0
@@ -333,21 +316,15 @@ class Bessel(RadialLaw):
         return (self.nu1 + self.nu2 - 3.0) / 4.0 * logy
 
 
-_FAMILIES = {
-    "chi_square": (ChiSquare, ("nu",)),
-    "chi": (Chi, ("nu",)),
-    "f": (FDist, ("nu1", "nu2")),
-    "log_normal": (LogNormal, ()),
-    "bessel": (Bessel, ("nu1", "nu2")),
-}
+_FAMILIES = {cls.family: cls for cls in (ChiSquare, Chi, FDist, LogNormal, Bessel)}
 
 
 def law_from_dict(spec):
     """Build a radial law from a configuration mapping.
 
     Expected keys: ``family`` (one of ``chi_square``, ``chi``, ``f``,
-    ``log_normal``, ``bessel``), the family's degree-of-freedom entries
-    (``nu`` or ``nu1``/``nu2``), and an optional ``scale``.
+    ``log_normal``, ``bessel``) and the family's fields: the required
+    ``nu`` or ``nu1``/``nu2`` and an optional ``scale``.
     """
     try:
         family = spec["family"]
@@ -355,11 +332,11 @@ def law_from_dict(spec):
         raise ValueError("law description must be a mapping with a 'family' key")
     if family not in _FAMILIES:
         raise ValueError(f"unknown law family {family!r}; expected one of {sorted(_FAMILIES)}")
-    cls, required = _FAMILIES[family]
+    cls = _FAMILIES[family]
     kwargs = {}
-    for key in required:
-        if key not in spec:
-            raise ValueError(f"law family {family!r} requires parameter {key!r}")
-        kwargs[key] = float(spec[key])
-    kwargs["scale"] = float(spec.get("scale", 1.0))
+    for param in fields(cls):
+        if param.name in spec:
+            kwargs[param.name] = float(spec[param.name])
+        elif param.default is MISSING:
+            raise ValueError(f"law family {family!r} requires parameter {param.name!r}")
     return cls(**kwargs)

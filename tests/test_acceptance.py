@@ -60,10 +60,10 @@ def lognormal_deltas(benchmark_config, lognormal_law):
 
 def test_criterion_01_benchmark_geometry(benchmark_config):
     expected = math.acos(math.sqrt(5.0 / 8.0))
-    assert abs(benchmark_config.critical_radius() - expected) <= 1e-12
+    assert abs(benchmark_config.theta_star - expected) <= 1e-12
     assert benchmark_config.multiplicity == 6
     print(
-        f"ACCEPTANCE 01 PASS: critical radius {benchmark_config.critical_radius():.12f}"
+        f"ACCEPTANCE 01 PASS: critical radius {benchmark_config.theta_star:.12f}"
         f" = arccos(sqrt(5/8)) to 1e-12, multiplicity 6"
     )
 

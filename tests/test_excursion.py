@@ -589,9 +589,12 @@ class TestThresholdSolving:
 
     def test_search_ends_are_checked_when_reached(self, benchmark_config):
         # the law's mass near 0 keeps P(1e-6) below a target that the tail
-        # bound cannot rule out, so the search runs down to c = 1e-6
+        # bound cannot rule out; the search checks c = 1e-6 at its second
+        # bisection in a row towards it
+        excursion._mixture.cache_clear()
         with pytest.raises(ValueError, match=r"target 0.3 is not attainable"):
             solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
+        assert excursion._mixture.cache_info().misses <= 3
         # F(3, 0.01) still exceeds the target at c = 2^200
         with pytest.raises(ValueError, match="failed to bracket the threshold"):
             solve_threshold(benchmark_config, FDist(3.0, 0.01), 0.1, method="tube")

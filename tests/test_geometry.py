@@ -118,14 +118,14 @@ class TestCriticalRadius:
         thetas = []
         for rho in (0.0, 0.25, 0.5, 0.9, 0.999):
             config = PointConfiguration.from_correlation(equicorrelated(2, rho))
-            thetas.append(config.critical_radius())
+            thetas.append(config.theta_star)
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
         assert thetas[-1] < 0.03  # rho* -> 1 drives the radius to zero
 
     def test_degenerate_single_point(self):
         config = PointConfiguration.from_points([[0.0, 0.0, 1.0]])
         assert config.is_degenerate
-        assert config.critical_radius() == math.pi / 2.0
+        assert config.theta_star == math.pi / 2.0
 
     def test_multiplicity_counts_ordered_pairs(self):
         pair = PointConfiguration.from_correlation(equicorrelated(2, 0.3))

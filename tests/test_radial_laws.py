@@ -16,6 +16,7 @@ from spheretail import (
     g_beta,
     law_from_dict,
 )
+from spheretail.montecarlo import _law_digest
 
 # Frozen 40-digit quadrature values for the product-of-chi-squares tail.
 BESSEL_TAIL_ORACLE = {
@@ -344,6 +345,26 @@ class TestConfigParsing:
         ]
         for law in laws:
             assert law_from_dict(law.to_dict()) == law
+
+    @pytest.mark.parametrize(
+        "law, digest",
+        [
+            (ChiSquare(3.0, scale=2.0), "0070075798a93169"),
+            (Chi(4.0), "b15445459479b1e5"),
+            (FDist(3.0, 3.0), "20b52e1daa194fd8"),
+            (LogNormal(scale=3.0 * math.exp(-0.5)), "76078cb182424bbd"),
+            (Bessel(3.0, 4.0, scale=0.25), "b82eccbc24c12c25"),
+        ],
+        ids=lambda value: getattr(value, "family", None),
+    )
+    def test_serialised_digest_is_frozen(self, law, digest):
+        # SimulationResult.law_digest hashes to_dict, so its JSON must not drift
+        assert _law_digest(law) == digest
+
+    def test_first_failing_field_is_named(self):
+        spec = {"family": "bessel", "nu1": -1.0, "nu2": -2.0, "scale": 0.0}
+        with pytest.raises(ValueError, match=r"^nu1 must be positive, got -1\.0$"):
+            law_from_dict(spec)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
