@@ -462,6 +462,8 @@ def solve_threshold(config, law, target, method="tube"):
     below 1/2 is checked against P at c = 1e-6 only when the tail bound
     cannot rule out that P falls below it there, or when a second bisection
     in a row heads towards that end with every P so far below the target.
+    Likewise a second bisection in a row towards c = 2^200 with every P so
+    far above the target first checks that P falls to the target there.
     """
     if method == "tube":
         prob = p_tube
@@ -518,11 +520,15 @@ def solve_threshold(config, law, target, method="tube"):
         )
         bisect = not lo < t < hi or stalled
         if bisect:
+            # every P so far lies on one side of the target and the search
+            # keeps halving c towards the unevaluated end: check that end first
             if bisected and not lo_seen:
-                # every P so far is below the target and the search keeps
-                # halving c towards the lower end: check that end first
                 check_lower_end()
                 lo_seen = True
+            if bisected and not hi_seen:
+                if prob(config, law, _C_HI) > target:
+                    raise ValueError("failed to bracket the threshold")
+                hi_seen = True
             t = math.log(0.5 * (math.exp(lo) + math.exp(hi)))
         bisected = bisect
         value = prob(config, law, math.exp(t))

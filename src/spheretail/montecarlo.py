@@ -2,14 +2,18 @@
 
 Trials are processed in fixed-size chunks, each driven by a counter-based
 Philox generator keyed by ``(seed, chunk_index)``.  A chunk's draws
-therefore depend only on the seed and its index, so results are bit-stable
-regardless of how chunks would be scheduled, and identical inputs always
-reproduce identical output.
+therefore depend only on the seed and its index.  The chunks of one call run
+on a thread pool sized to the CPUs this process may use (the work is NumPy
+and BLAS code that releases the interpreter lock) and their results are
+combined in chunk order, so the output is bit-identical whatever the worker
+count, and identical inputs always reproduce identical output.
 """
 
 import hashlib
 import json
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,11 @@ from .excursion import p_tube
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
 CHUNK_TRIALS = 1 << 14
+
+# draws normalised and maximised over the points at a time: keeps each worker's
+# temporaries (the N x block product above all) small, since memory a worker
+# thread frees stays with its own malloc arena
+_BLOCK_TRIALS = 1 << 10
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,26 +59,47 @@ class SimulationResult:
     config_digest: str
 
 
-def _tmax_chunks(config, law, trials, seed):
-    """Yield the field maxima max_i <u_i, xi> of ``trials`` draws, chunk by chunk.
+def _available_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws from the Philox generator
-    keyed by ``(seed, j)``.
+
+def _map_chunks(chunk_fn, trials):
+    """Return ``[chunk_fn(j, size_j) for each chunk j]`` of ``trials`` draws.
+
+    Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws.  The chunks run on a
+    thread pool that lives for this call only, with at most one worker per
+    available CPU; the list is in chunk order and the first exception raised
+    by a chunk propagates to the caller.
     """
-    for chunk_index, start in enumerate(range(0, trials, CHUNK_TRIALS)):
-        size = min(CHUNK_TRIALS, trials - start)
-        generator = _chunk_generator(seed, chunk_index)
-        r_sq = law.sample(generator, size)
-        z = generator.standard_normal((size, config.dim))
-        eta = z / np.linalg.norm(z, axis=1, keepdims=True)
-        yield np.sqrt(r_sq) * (config.points @ eta.T).max(axis=0)
+    sizes = [min(CHUNK_TRIALS, trials - start) for start in range(0, trials, CHUNK_TRIALS)]
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(sizes))) as pool:
+        return list(pool.map(chunk_fn, range(len(sizes)), sizes))
+
+
+def _chunk_tmax(config, law, seed, chunk_index, size):
+    """Field maxima max_i <u_i, xi> of the ``size`` draws of one chunk, all
+    from the Philox generator keyed by ``(seed, chunk_index)``."""
+    generator = _chunk_generator(seed, chunk_index)
+    r_sq = law.sample(generator, size)
+    z = generator.standard_normal((size, config.dim))
+    tmax = np.empty(size)
+    for start in range(0, size, _BLOCK_TRIALS):
+        block = z[start:start + _BLOCK_TRIALS]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        np.max(config.points @ block.T, axis=0, out=tmax[start:start + _BLOCK_TRIALS])
+    tmax *= np.sqrt(r_sq, out=r_sq)
+    return tmax
 
 
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    return np.concatenate(list(_tmax_chunks(config, law, trials, seed)))
+    return np.concatenate(_map_chunks(
+        lambda j, size: _chunk_tmax(config, law, seed, j, size), trials))
 
 
 def simulate_pmax(config, law, c_grid, trials, seed):
@@ -89,13 +119,14 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     if trials < 1:
         raise ValueError("trials must be at least 1")
 
-    counts = np.zeros(c_grid.size, dtype=np.int64)
-    for tmax in _tmax_chunks(config, law, trials, seed):
+    def chunk_counts(chunk_index, size):
+        tmax = _chunk_tmax(config, law, seed, chunk_index, size)
         # index of the first grid value above tmax = number of thresholds met
         reach = np.searchsorted(c_grid, tmax, side="right")
         hist = np.bincount(reach, minlength=c_grid.size + 1)
-        counts += hist[::-1].cumsum()[::-1][1:]
+        return hist[::-1].cumsum()[::-1][1:]
 
+    counts = sum(_map_chunks(chunk_counts, trials))
     estimates = counts / trials
     std_errors = np.sqrt(estimates * (1.0 - estimates) / trials)
     estimates.setflags(write=False)

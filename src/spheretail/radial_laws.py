@@ -83,7 +83,8 @@ def g_beta(beta, y):
 
 class RadialLaw:
     """Base class for the law of the squared radial part; each family is a
-    frozen dataclass whose fields are its parameters, all positive."""
+    frozen dataclass whose fields are its parameters, all positive and
+    stored as ``float`` (so equal laws serialise, and digest, alike)."""
 
     family = "base"
 
@@ -92,6 +93,7 @@ class RadialLaw:
             value = getattr(self, param.name)
             if not value > 0.0:
                 raise ValueError(f"{param.name} must be positive, got {value}")
+            object.__setattr__(self, param.name, float(value))
 
     def tail(self, x):
         """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays."""

@@ -595,9 +595,12 @@ class TestThresholdSolving:
         with pytest.raises(ValueError, match=r"target 0.3 is not attainable"):
             solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
         assert excursion._mixture.cache_info().misses <= 3
-        # F(3, 0.01) still exceeds the target at c = 2^200
+        # F(3, 0.01) still exceeds the target at c = 2^200; the search checks
+        # that end at its second bisection in a row towards it
+        excursion._mixture.cache_clear()
         with pytest.raises(ValueError, match="failed to bracket the threshold"):
             solve_threshold(benchmark_config, FDist(3.0, 0.01), 0.1, method="tube")
+        assert excursion._mixture.cache_info().misses <= 4
 
     def test_unknown_method(self, benchmark_config, t_law):
         with pytest.raises(ValueError, match="method"):

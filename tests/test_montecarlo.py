@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
 from spheretail import (
+    ChiSquare,
+    FDist,
     PointConfiguration,
     delta_exact,
     estimate_delta,
@@ -14,7 +18,31 @@ from spheretail import (
     sample_tmax,
     simulate_pmax,
 )
+from spheretail import montecarlo
 from spheretail.montecarlo import CHUNK_TRIALS
+
+
+def _random_config(n, n_points):
+    points = np.random.default_rng([n, n_points]).standard_normal((n_points, n))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    return PointConfiguration.from_points(points)
+
+
+def _digest(arrays):
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()[:16]
+
+
+FROZEN_GRID = np.arange(0.25, 8.01, 0.25)
+
+
+class _LastChunkFails(ChiSquare):
+    def sample(self, rng, size=None):
+        if size != CHUNK_TRIALS:
+            raise RuntimeError("sampler failed in the last chunk")
+        return super().sample(rng, size)
 
 
 class TestDeterminism:
@@ -41,6 +69,54 @@ class TestDeterminism:
         assert a.trials == 100 and a.seed == 9
         assert a.config_digest == b.config_digest
         assert a.law_digest != b.law_digest
+
+
+class TestFrozenBits:
+    # sha256 of the draws as computed when the chunks still ran one after
+    # another: no worker count or scheduling may move a bit
+    @pytest.mark.parametrize(
+        "n, n_points, law, tmax_digest, pmax_digest",
+        [
+            (2, 2, ChiSquare(2.0), "f56fdf4dc1ba616f", "8aee7c28d5689c30"),
+            (2, 2, FDist(3.0, 3.0), "b2e561390380836a", "9c75a8c7ad645fee"),
+            (3, 3, ChiSquare(3.0), "9c30e905a6ad536b", "10291372e50e2b21"),
+            (3, 3, FDist(3.0, 3.0), "550f12bf3337c5a8", "224e62d7cbe3a984"),
+            (5, 10, ChiSquare(5.0), "aa0fa4fd280fbb06", "87c35926077c1911"),
+            (5, 10, FDist(3.0, 3.0), "f4c0e0e53ed92bbb", "0639a24a9799d0d4"),
+            (10, 50, ChiSquare(10.0), "2217316a4ca22cab", "d09427b0e7616464"),
+            (10, 50, FDist(3.0, 3.0), "4d48273c44796cd6", "578bd714a142197e"),
+        ],
+    )
+    def test_digests(self, n, n_points, law, tmax_digest, pmax_digest):
+        config = _random_config(n, n_points)
+        tmax = [sample_tmax(config, law, trials, seed=7) for trials in (1, 16384, 16385, 50000)]
+        sim = simulate_pmax(config, law, FROZEN_GRID, 300000, seed=7)
+        assert (_digest(tmax), _digest([sim.estimates])) == (tmax_digest, pmax_digest)
+
+    def test_worker_count_moves_no_bit(self, monkeypatch):
+        config, law = _random_config(5, 10), FDist(3.0, 3.0)
+        trials = 5 * CHUNK_TRIALS + 3
+        expected = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 3, 16):
+                monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+                tmax = sample_tmax(config, law, trials, seed=2)
+                sim = simulate_pmax(config, law, FROZEN_GRID, trials, seed=2)
+                if expected is None:
+                    expected = (tmax, sim.estimates)
+                assert np.array_equal(tmax, expected[0])
+                assert np.array_equal(sim.estimates, expected[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_exception_reaches_caller(self, benchmark_config):
+        law = _LastChunkFails(3.0)
+        with pytest.raises(RuntimeError, match="last chunk"):
+            sample_tmax(benchmark_config, law, 3 * CHUNK_TRIALS + 5, seed=0)
+        with pytest.raises(RuntimeError, match="last chunk"):
+            simulate_pmax(benchmark_config, law, FROZEN_GRID, 3 * CHUNK_TRIALS + 5, seed=0)
 
 
 class TestAgainstAnalytic:

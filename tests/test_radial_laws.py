@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -360,6 +361,15 @@ class TestConfigParsing:
     def test_serialised_digest_is_frozen(self, law, digest):
         # SimulationResult.law_digest hashes to_dict, so its JSON must not drift
         assert _law_digest(law) == digest
+
+    def test_int_parameters_digest_as_floats(self):
+        # a law built in Python with ints equals the one read back from JSON,
+        # which law_from_dict builds from floats, and must digest alike
+        for law in (ChiSquare(3, scale=2), Bessel(3, 4, scale=0.25)):
+            reread = law_from_dict(json.loads(json.dumps(law.to_dict())))
+            assert _law_digest(law) == _law_digest(reread)
+            assert all(type(value) is float for value in dataclasses.astuple(law))
+        assert _law_digest(ChiSquare(3, scale=2)) == "0070075798a93169"
 
     def test_first_failing_field_is_named(self):
         spec = {"family": "bessel", "nu1": -1.0, "nu2": -2.0, "scale": 0.0}
