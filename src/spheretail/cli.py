@@ -240,10 +240,12 @@ def _run_exact(exp):
 
 
 def _config_int(name, value):
-    try:
+    """A JSON integer: an int or an integral float, never a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _run_simulate(exp):

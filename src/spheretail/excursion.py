@@ -436,10 +436,10 @@ def log_delta_asymptotic(config, law, c):
 # threshold solving and tail dependence
 # ----------------------------------------------------------------------
 
-# Ends of the threshold search.  P(0+) >= 1/2 for both methods, so a target
-# below 1/2 is reached above _C_LO unless the law has mass near 0; c^2 stays
-# finite up to _C_HI.
-_C_LO = 1e-6
+# Ends of the threshold search.  c^2 underflows to 0 at _C_LO, so P there is
+# its limit as c -> 0+, at least 1/2 for both methods; c^2 stays finite up to
+# _C_HI.
+_C_LO = math.ulp(0.0)
 _C_HI = 2.0**200
 
 
@@ -457,13 +457,11 @@ def solve_threshold(config, law, target, method="tube"):
     whose root leaves the bracket set by the signs of the evaluated P, or
     that is not below half the step before last.  The search returns the
     root of the secant through the last two log P, kept inside the bracket,
-    once it moves c by at most tol = 1e-10 (1 + c), or once the curvature
-    through the last three puts it within tol / 100 of the root.  A target
-    below 1/2 is checked against P at c = 1e-6 only when the tail bound
-    cannot rule out that P falls below it there, or when a second bisection
-    in a row heads towards that end with every P so far below the target.
-    Likewise a second bisection in a row towards c = 2^200 with every P so
-    far above the target first checks that P falls to the target there.
+    once it moves c by at most tol = 1e-10 c, or once the curvature through
+    the last three puts it within tol / 100 of the root.  The search covers
+    all of c > 0: P at its lower end is the limit P(0+) and is evaluated
+    only for a target outside (0, 1/2); P at c = 2^200 is evaluated only
+    when the tail bound cannot place the root below it.
     """
     if method == "tube":
         prob = p_tube
@@ -472,25 +470,21 @@ def solve_threshold(config, law, target, method="tube"):
     else:
         raise ValueError("method must be 'tube' or 'exact'")
 
-    def check_lower_end():
+    def guide(t):
+        return math.log(max(law.tail(math.exp(2.0 * t)), math.ulp(0.0)))
+
+    if not 0.0 < target < 0.5:
         p_lo = prob(config, law, _C_LO)
         if not 0.0 < target < min(1.0, p_lo):
             raise ValueError(
                 f"target {target} is not attainable (must lie in (0, {min(1.0, p_lo):.6g}))"
             )
-
-    def guide(t):
-        return math.log(max(law.tail(math.exp(2.0 * t)), math.ulp(0.0)))
-
     lo, hi = math.log(_C_LO), math.log(_C_HI)  # bracket in t = log c
-    lo_seen = hi_seen = False                   # whether P was evaluated at each end
     q_first = math.log(config.n_points / 2.0)
-    if not 0.0 < target < 0.5 or guide(lo) + q_first <= math.log(target):
-        check_lower_end()
-        lo_seen = True
     log_target = math.log(target)
+    if guide(hi) + q_first > log_target and prob(config, law, _C_HI) > target:
+        raise ValueError("failed to bracket the threshold")
     points = []                                 # (t, log(P / target), Q) per evaluation
-    bisected = False                            # whether the last step was a bisection
     while True:
         t_b, q_b, slope = 0.0, q_first, 0.0
         if points:
@@ -501,15 +495,15 @@ def solve_threshold(config, law, target, method="tube"):
             secant = (f_b - f_a) / (t_b - t_a)
             t_sec = t_b - f_b / secant if secant != 0.0 else 0.5 * (lo + hi)
             c = math.exp(min(max(t_sec, lo), hi))
-            tol = 1e-10 * (1.0 + c)
+            tol = 1e-10 * c
             if abs(c - math.exp(t_b)) <= tol:
-                break
+                return c
             if len(points) >= 3 and secant != 0.0 and lo <= t_sec <= hi:
                 # error of the secant root from the curvature of the last three
                 t_0, f_0, _ = points[-3]
                 curvature = (secant - (f_a - f_0) / (t_a - t_0)) / (t_b - t_0)
                 if c * abs(curvature * (t_sec - t_a) * (t_sec - t_b) / secant) <= 0.01 * tol:
-                    break
+                    return c
 
         def model(t):
             return guide(t) + q_b + slope * (t - t_b) - log_target
@@ -518,19 +512,8 @@ def solve_threshold(config, law, target, method="tube"):
         stalled = len(points) >= 3 and abs(math.exp(t) - math.exp(t_b)) > 0.5 * abs(
             math.exp(points[-2][0]) - math.exp(points[-3][0])
         )
-        bisect = not lo < t < hi or stalled
-        if bisect:
-            # every P so far lies on one side of the target and the search
-            # keeps halving c towards the unevaluated end: check that end first
-            if bisected and not lo_seen:
-                check_lower_end()
-                lo_seen = True
-            if bisected and not hi_seen:
-                if prob(config, law, _C_HI) > target:
-                    raise ValueError("failed to bracket the threshold")
-                hi_seen = True
+        if not lo < t < hi or stalled:
             t = math.log(0.5 * (math.exp(lo) + math.exp(hi)))
-        bisected = bisect
         value = prob(config, law, math.exp(t))
         if value <= 0.0:
             raise ValueError(
@@ -541,15 +524,9 @@ def solve_threshold(config, law, target, method="tube"):
             return math.exp(t)
         points.append((t, f, math.log(value) - guide(t)))
         if f > 0.0:
-            lo, lo_seen = t, True
+            lo = t
         else:
-            hi, hi_seen = t, True
-    # an end never evaluated is checked when the search ends next to it
-    if not lo_seen and c - _C_LO <= tol:
-        check_lower_end()
-    if not hi_seen and _C_HI - c <= tol:
-        raise ValueError("failed to bracket the threshold")
-    return c
+            hi = t
 
 
 def tail_dependence(config, law):

@@ -59,6 +59,8 @@ class PointConfiguration:
             raise ValueError("at least one point is required")
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
         norms = np.linalg.norm(points, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise ValueError("all points must be unit vectors")
@@ -91,12 +93,14 @@ class PointConfiguration:
         Raises
         ------
         ValueError
-            If the matrix is not symmetric with unit diagonal, has an
-            eigenvalue below -1e-10, or contains a duplicated point.
+            If the matrix is not finite, not symmetric with unit diagonal, has
+            an eigenvalue below -1e-10, or contains a duplicated point.
         """
         rho = np.asarray(rho, dtype=float)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("correlation matrix must be square")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("correlation matrix must be finite")
         if np.max(np.abs(rho - rho.T)) > 1e-12:
             raise ValueError("correlation matrix must be symmetric")
         if np.max(np.abs(np.diag(rho) - 1.0)) > 1e-12:

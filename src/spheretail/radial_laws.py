@@ -83,7 +83,7 @@ def g_beta(beta, y):
 
 class RadialLaw:
     """Base class for the law of the squared radial part; each family is a
-    frozen dataclass whose fields are its parameters, all positive and
+    frozen dataclass whose fields are its parameters, all positive, finite and
     stored as ``float`` (so equal laws serialise, and digest, alike)."""
 
     family = "base"
@@ -93,6 +93,8 @@ class RadialLaw:
             value = getattr(self, param.name)
             if not value > 0.0:
                 raise ValueError(f"{param.name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{param.name} must be finite, got {value}")
             object.__setattr__(self, param.name, float(value))
 
     def tail(self, x):

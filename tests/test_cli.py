@@ -105,7 +105,10 @@ class TestSubcommands:
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("trials, message", [(0, "at least 1"), (None, "an integer")])
+    @pytest.mark.parametrize("trials, message", [
+        (0, "at least 1"), (None, "an integer"), (2000.9, "an integer"), (True, "an integer"),
+        ("12", "an integer"), (float("inf"), "an integer"),
+    ])
     def test_config_trials_are_checked_by_simulate_only(self, tmp_path, capsys, trials, message):
         cfg = write_config(tmp_path / "cfg.json", trials=trials)
         for argv in (["approx"], ["exact"], ["error"],
@@ -117,7 +120,7 @@ class TestSubcommands:
         assert cli.run(["simulate", "--config", str(cfg), "--out", out]) == 1
         assert f"trials must be {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", [None, "eleven"])
+    @pytest.mark.parametrize("seed", [None, "eleven", 7.5, True, "12", float("inf")])
     def test_config_seed_is_checked_by_simulate_only(self, tmp_path, capsys, seed):
         cfg = write_config(tmp_path / "cfg.json", seed=seed)
         for argv in (["approx"], ["exact"], ["error"],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -588,19 +589,39 @@ class TestThresholdSolving:
             solve_threshold(benchmark_config, t_law, 0.95, method="exact")
 
     def test_search_ends_are_checked_when_reached(self, benchmark_config):
-        # the law's mass near 0 keeps P(1e-6) below a target that the tail
-        # bound cannot rule out; the search checks c = 1e-6 at its second
-        # bisection in a row towards it
+        # the search covers all c > 0: a law with its mass near 0 has its
+        # threshold there, and P scales with the law, so c scales by sqrt(1e-12)
+        c_unit = solve_threshold(benchmark_config, LogNormal(scale=1.0), 0.3, method="tube")
         excursion._mixture.cache_clear()
-        with pytest.raises(ValueError, match=r"target 0.3 is not attainable"):
-            solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
-        assert excursion._mixture.cache_info().misses <= 3
-        # F(3, 0.01) still exceeds the target at c = 2^200; the search checks
-        # that end at its second bisection in a row towards it
+        c = solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
+        assert excursion._mixture.cache_info().misses <= 5
+        assert c == pytest.approx(1e-6 * c_unit, rel=1e-9)
+        # F(3, 0.01) still exceeds the target at c = 2^200, which the tail
+        # bound cannot rule out: that end is checked before the search starts
         excursion._mixture.cache_clear()
         with pytest.raises(ValueError, match="failed to bracket the threshold"):
             solve_threshold(benchmark_config, FDist(3.0, 0.01), 0.1, method="tube")
-        assert excursion._mixture.cache_info().misses <= 4
+        assert excursion._mixture.cache_info().misses <= 1
+
+    @pytest.mark.parametrize("method", ["tube", "exact"])
+    @pytest.mark.parametrize("law", [MIXTURE_LAWS[i] for i in (0, 2, 3, 4)],
+                             ids=lambda law: law.family)
+    def test_threshold_scales_with_the_law(self, benchmark_config, law, method):
+        # scaling R by s scales P's argument c by sqrt(s), over any range of s
+        for target in (0.3, 1e-3, 1e-9):
+            c_unit = solve_threshold(benchmark_config, law, target, method=method)
+            for s in (1e-20, 1e-14, 1e-8, 1e-2, 1e4, 1e14):
+                scaled = dataclasses.replace(law, scale=law.scale * s)
+                c = solve_threshold(benchmark_config, scaled, target, method=method)
+                assert abs(c / math.sqrt(s) - c_unit) <= 1e-9 * c_unit
+
+    @pytest.mark.parametrize("method", ["tube", "exact"])
+    def test_single_point_target_near_half(self, single_point, method):
+        # P(0+) is 1/2 for one point: a target just below it has its root at c ~ 3e-7
+        law = ChiSquare(3.0)
+        c = solve_threshold(single_point, law, 0.4999999, method=method)
+        prob = p_tube if method == "tube" else p_exact
+        assert prob(single_point, law, c) == pytest.approx(0.4999999, rel=1e-9)
 
     def test_unknown_method(self, benchmark_config, t_law):
         with pytest.raises(ValueError, match="method"):

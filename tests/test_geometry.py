@@ -46,6 +46,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicated"):
             PointConfiguration.from_points([u, u])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            PointConfiguration.from_points([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+        rho = [[1.0, bad, 0.0], [bad, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="correlation matrix must be finite"):
+            PointConfiguration.from_correlation(rho)
+
     def test_rank_deficient_correlation_drops_dimensions(self):
         # three points on a great circle: rank 2
         angles = [0.0, 1.0, 2.0]

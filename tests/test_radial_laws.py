@@ -389,3 +389,9 @@ class TestConfigParsing:
             law_from_dict({"family": "chi_square", "nu": -1.0})
         with pytest.raises(ValueError):
             law_from_dict({"family": "bessel", "nu1": 3.0, "nu2": 4.0, "scale": 0.0})
+        with pytest.raises(ValueError, match=r"^nu must be positive, got nan$"):
+            law_from_dict({"family": "chi_square", "nu": math.nan})
+        with pytest.raises(ValueError, match=r"^nu must be finite, got inf$"):
+            law_from_dict({"family": "chi_square", "nu": math.inf})
+        with pytest.raises(ValueError, match=r"^scale must be finite, got inf$"):
+            LogNormal(scale=math.inf)
