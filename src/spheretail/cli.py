@@ -34,14 +34,20 @@ class ExperimentConfig:
     configuration: PointConfiguration
     law: object
     c_grid: np.ndarray
-    trials: object        # as given; only ``simulate`` reads it
-    seed: object          # as given; only ``simulate`` reads it
+    trials: object        # as given; only ``simulate`` and ``reproduce`` read it
+    seed: object          # as given; only ``simulate`` and ``reproduce`` read it
     output: str | None
 
     @classmethod
-    def load(cls, path, args):
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+    def load(cls, args):
+        """The experiment of the ``--config`` file, or of the ``--case`` preset
+        of ``reproduce``, with ``--c-grid``, ``--out``, ``--trials`` and
+        ``--seed`` overriding it."""
+        if args.command == "reproduce":
+            raw = _reproduce_preset(args.case)
+        else:
+            with open(args.config, encoding="utf-8") as handle:
+                raw = json.load(handle)
         has_points = "points" in raw
         has_corr = "correlation" in raw
         if has_points == has_corr:
@@ -56,7 +62,7 @@ class ExperimentConfig:
             raise ValueError("config must contain a 'law' object")
         law = law_from_dict(raw["law"])
         grid_spec = raw.get("c_grid")
-        if getattr(args, "c_grid", None):
+        if args.c_grid:
             grid = _parse_grid(args.c_grid)
         elif grid_spec is not None:
             grid = _build_grid(grid_spec["start"], grid_spec["stop"], grid_spec["step"])
@@ -64,11 +70,11 @@ class ExperimentConfig:
             grid = _build_grid(1.0, 8.0, 0.5)
         trials = getattr(args, "trials", None)
         if trials is None:
-            trials = raw.get("trials", 10000)  # checked where it is read, by simulate
+            trials = raw.get("trials", 10000)  # checked by _run_simulate, its one reader
         seed = getattr(args, "seed", None)
         if seed is None:
-            seed = raw.get("seed", 0)  # checked where it is read, by simulate
-        output = getattr(args, "out", None) or raw.get("output")
+            seed = raw.get("seed", 0)  # checked by _run_simulate, its one reader
+        output = args.out or raw.get("output")
         return cls(configuration, law, grid, trials, seed, output)
 
 
@@ -145,12 +151,6 @@ def _report_cells(report):
 # benchmark presets: N = 3 points, pairwise correlation 1/4, n = 3
 # ----------------------------------------------------------------------
 
-def _benchmark_correlation():
-    rho = np.full((3, 3), 0.25)
-    np.fill_diagonal(rho, 1.0)
-    return rho
-
-
 REPRODUCE_CASES = {
     "t": {
         "law": FDist(3.0, 3.0),
@@ -169,6 +169,20 @@ REPRODUCE_CASES = {
         "grid": (0.5, 6.0, 0.25),
     },
 }
+
+
+def _reproduce_preset(case):
+    """The experiment description of a built-in case, as ``load`` reads a file."""
+    start, stop, step = REPRODUCE_CASES[case]["grid"]
+    return {
+        "correlation": np.full((3, 3), 0.25) + 0.75 * np.eye(3),
+        "law": REPRODUCE_CASES[case]["law"].to_dict(),
+        "c_grid": {"start": start, "stop": stop, "step": step},
+        "trials": 10000,
+        "seed": 20250810,
+        "output": f"reproduce_{case}.csv",
+    }
+
 
 _REPRODUCE_HEADER = [
     "c",
@@ -192,34 +206,6 @@ _REPRODUCE_HEADER = [
     "branch",
     "flags",
 ]
-
-
-def _run_reproduce(args):
-    case = REPRODUCE_CASES[args.case]
-    configuration = PointConfiguration.from_correlation(_benchmark_correlation())
-    law = case["law"]
-    grid = _parse_grid(args.c_grid) if args.c_grid else _build_grid(*case["grid"])
-    trials = args.trials if args.trials is not None else 10000
-    seed = args.seed if args.seed is not None else 20250810
-    sim = montecarlo.simulate_pmax(configuration, law, grid, trials, seed)
-    rows = []
-    for j, c in enumerate(grid):
-        cells = _report_cells(excursion.build_report(configuration, law, c))
-        p_hat = float(sim.estimates[j])
-        se = float(sim.standard_errors[j])
-        tube = cells["p_tube"]
-        cells.update(
-            p_sim=p_hat,
-            se_sim=se,
-            log_p_sim=_log(p_hat),
-            delta_sim=(tube - p_hat) / tube,
-            se_delta_sim=se / tube,
-        )
-        rows.append([cells[name] for name in _REPRODUCE_HEADER])
-    out = args.out or f"reproduce_{args.case}.csv"
-    _write_csv(out, _REPRODUCE_HEADER, rows)
-    print(f"wrote {out} ({len(rows)} rows, trials={trials}, seed={seed})")
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -271,12 +257,29 @@ def _run_error(exp):
     return _ERROR_HEADER, rows
 
 
+def _run_reproduce(exp):
+    rows = []
+    for c, p_hat, se, _, _ in _run_simulate(exp)[1]:
+        cells = _report_cells(excursion.build_report(exp.configuration, exp.law, c))
+        tube = cells["p_tube"]
+        cells.update(
+            p_sim=p_hat,
+            se_sim=se,
+            log_p_sim=_log(p_hat),
+            delta_sim=(tube - p_hat) / tube,
+            se_delta_sim=se / tube,
+        )
+        rows.append([cells[name] for name in _REPRODUCE_HEADER])
+    return _REPRODUCE_HEADER, rows
+
+
 # grid subcommands: each returns (header, rows) for ``run`` to write
 _GRID_COMMANDS = {
     "approx": _run_approx,
     "exact": _run_exact,
     "simulate": _run_simulate,
     "error": _run_error,
+    "reproduce": _run_reproduce,
 }
 
 
@@ -304,32 +307,28 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="JSON experiment description")
+    commands = {}
+    for name, text in [
+        ("approx", "Bonferroni approximation grid"),
+        ("exact", "exact excursion probability grid"),
+        ("simulate", "Monte Carlo estimate grid"),
+        ("error", "relative error with predictions and bounds"),
+        ("threshold", "solve for the threshold at a target level"),
+        ("reproduce", "run a built-in benchmark case"),
+    ]:
+        p = commands[name] = sub.add_parser(name, help=text)
+        if name == "reproduce":
+            p.add_argument("--case", choices=sorted(REPRODUCE_CASES), required=True)
+        else:
+            p.add_argument("--config", required=True, help="JSON experiment description")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
-
-    add_common(sub.add_parser("approx", help="Bonferroni approximation grid"))
-    add_common(sub.add_parser("exact", help="exact excursion probability grid"))
-    sim = sub.add_parser("simulate", help="Monte Carlo estimate grid")
-    add_common(sim)
-    sim.add_argument("--trials", type=_positive_int, help="Monte Carlo trials")
-    sim.add_argument("--seed", type=int, help="simulation seed")
-    add_common(sub.add_parser("error", help="relative error with predictions and bounds"))
-
-    thr = sub.add_parser("threshold", help="solve for the threshold at a target level")
-    add_common(thr)
+        if name in ("simulate", "reproduce"):
+            p.add_argument("--trials", type=_positive_int, help="Monte Carlo trials")
+            p.add_argument("--seed", type=int, help="simulation seed in [0, 2^64)")
+    thr = commands["threshold"]
     thr.add_argument("--target", type=float, required=True, help="target probability")
     thr.add_argument("--method", choices=["tube", "exact"], default="tube")
-
-    rep = sub.add_parser("reproduce", help="run a built-in benchmark case")
-    rep.add_argument("--case", choices=sorted(REPRODUCE_CASES), required=True)
-    rep.add_argument("--out", help="output CSV path")
-    rep.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
-    rep.add_argument("--trials", type=_positive_int,
-                     help="Monte Carlo trials (default 10000)")
-    rep.add_argument("--seed", type=int, help="simulation seed (default 20250810)")
     return parser
 
 
@@ -337,15 +336,14 @@ def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "reproduce":
-            return _run_reproduce(args)
-        exp = ExperimentConfig.load(args.config, args)
+        exp = ExperimentConfig.load(args)
         if args.command == "threshold":
             return _run_threshold(exp, args)
         header, rows = _GRID_COMMANDS[args.command](exp)
         out = exp.output or f"{args.command}.csv"
         _write_csv(out, header, rows)
-        print(f"wrote {out} ({len(rows)} rows)")
+        keys = f", trials={exp.trials}, seed={exp.seed}" if args.command == "reproduce" else ""
+        print(f"wrote {out} ({len(rows)} rows{keys})")
         return 0
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -103,7 +103,9 @@ def _cumulative_mixture(law, n, k, c, psi_hi):
     ``int_0^{sin^2 psi} tail(c^2 / y) dBeta_{k/2,(n-k)/2}(y)`` by Simpson's rule."""
     psi = _psi_grid(psi_hi)
     y = np.sin(psi) ** 2
-    values = np.zeros(PSI_NODES)  # tail vanishes at y -> 0 faster than any power
+    # tail(c^2 / y) as y -> 0: 0, faster than any power, unless c^2 underflows
+    # to 0 and the tail is tail(0) = 1 at every y
+    values = np.full(PSI_NODES, 1.0 if c * c == 0.0 else 0.0)
     values[1:] = law.tail(c * c / y[1:])
     integrand = _beta_density(psi, k / 2.0, (n - k) / 2.0) * values
     return psi, _sci_integrate.cumulative_simpson(integrand, x=psi, initial=0.0)
@@ -165,7 +167,7 @@ def _profile_moments(config):
     of the psi grid, at offset s = x - psi_j.  Any cubic spline on that grid
     then averages over the directions of point i as ``per_point[i] @ coef``
     (coefficients from ``_pieces``), and for n > 3 its square sums over all
-    directions through ``pooled``.  A single point has the one direction a = 0.
+    directions through ``pooled``.
     """
     psi = _psi_grid(math.pi / 2.0)
     pieces = PSI_NODES - 1
@@ -174,10 +176,7 @@ def _profile_moments(config):
     per_point = np.empty((n_points, 4, pieces))
     pooled = np.zeros((degree + 1, pieces))
     for i in range(n_points):
-        if n_points == 1:
-            a = np.zeros(1)
-        else:
-            a = config.cos_sq_local_angle(i, config.normal_directions(i))
+        a = config.cos_sq_local_angle(i, config.normal_directions(i))
         x = np.arcsin(np.sqrt(a))
         j = _psi_piece(psi, x)
         s = x - psi[j]
@@ -277,8 +276,6 @@ def delta_rv_limit(config, gamma):
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the limiting error requires a finite positive index")
-    if config.n_points == 1:
-        return 0.0
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
     psi = _psi_grid(math.pi / 2.0)
     cdf = CubicHermiteSpline(
@@ -305,17 +302,12 @@ def delta_bar(config, gamma):
     """Upper bound Pr(B < cos^2 theta*) on the limiting relative error.
 
     ``B`` is Beta(gamma + 1/2, (n-1)/2) distributed; the bound depends on
-    the configuration only through its critical radius.  For a finite set
-    cos^2 theta* equals (1 + rho*) / 2, which is used directly to avoid
-    the rounding of the trigonometric round trip.
+    the configuration only through ``config.cos_sq_theta_star``, read
+    directly to avoid the rounding of the trigonometric round trip.
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the error bound requires a finite positive index")
-    if config.is_degenerate:
-        cos_sq = 0.0
-    else:
-        cos_sq = (1.0 + config.rho_star) / 2.0
-    return reg_inc_beta(cos_sq, gamma + 0.5, (config.dim - 1) / 2.0)
+    return reg_inc_beta(config.cos_sq_theta_star, gamma + 0.5, (config.dim - 1) / 2.0)
 
 
 def p_bounds(config, law, c):

@@ -148,16 +148,21 @@ class PointConfiguration:
         return float(np.max(self.correlation[mask]))
 
     @cached_property
-    def theta_star(self):
-        """Critical radius arccos sqrt((1 + rho*) / 2); pi/2 when degenerate."""
+    def cos_sq_theta_star(self):
+        """cos^2 of the critical radius, (1 + rho*) / 2; 0 for a single point."""
         if self.is_degenerate:
-            return math.pi / 2.0
-        return math.acos(math.sqrt((1.0 + self.rho_star) / 2.0))
+            return 0.0
+        return (1.0 + self.rho_star) / 2.0
+
+    @cached_property
+    def theta_star(self):
+        """Critical radius arccos sqrt(cos^2 theta*); pi/2 when degenerate."""
+        return math.acos(math.sqrt(self.cos_sq_theta_star))
 
     @property
     def tan_theta_star(self):
-        """tan of the critical radius, sqrt((1 - rho*) / (1 + rho*))."""
-        if self.is_degenerate:
+        """tan of the critical radius, sqrt((1 - rho*) / (1 + rho*)); inf at pi/2."""
+        if self.cos_sq_theta_star == 0.0:
             return math.inf
         return math.sqrt((1.0 - self.rho_star) / (1.0 + self.rho_star))
 
@@ -178,30 +183,28 @@ class PointConfiguration:
 
         ``directions`` has shape (m, n) with rows orthogonal to ``u_i``.
         The angle follows the cotangent rule over the other points, with the
-        convention that a nonpositive maximum means angle pi/2 (cos^2 = 0),
-        so the correction integral excludes nothing in such directions.
+        largest cotangent floored at 0: a direction that no other point lies
+        ahead of, and every direction of a single point, has angle pi/2
+        (cos^2 = 0), so the correction integral excludes nothing there.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        if self.n_points == 1:
-            return np.zeros(directions.shape[0])
         others = [j for j in range(self.n_points) if j != i]
         rho_i = self.correlation[i, others]
         ratios = (self.points[others] @ directions.T) / (1.0 - rho_i)[:, None]
-        cot = ratios.max(axis=0)
-        return np.where(cot > 0.0, cot**2 / (1.0 + cot**2), 0.0)
+        cot = ratios.max(axis=0, initial=0.0)
+        return cot**2 / (1.0 + cot**2)
 
     def nearest_neighbor_direction(self, i):
         """Unit tangent at ``u_i`` toward its nearest neighbor.
 
         Ties are broken by the lowest neighbor index.  For an antipodal
-        nearest neighbor the tangent is not unique and a deterministic
-        orthogonal direction is returned: the second column of the QR
-        factor of ``[u_i, I]``.
+        nearest neighbor, or a lone point, the tangent is not unique and a
+        deterministic orthogonal direction is returned: the second column
+        of the QR factor of ``[u_i, I]``.
         """
-        if self.n_points < 2:
-            raise ValueError("a neighbor direction requires at least two points")
         rho_i = self.correlation[i].copy()
         rho_i[i] = -np.inf
+        # a lone point has no candidate but itself, whose tangent vanishes
         jstar = int(np.argmax(rho_i > np.max(rho_i) - RHO_TIE_TOL))
         v0 = self.points[jstar] - self.correlation[i, jstar] * self.points[i]
         norm = np.linalg.norm(v0)
@@ -224,7 +227,7 @@ class PointConfiguration:
           normal sphere.
 
         The rule is fixed, so every average over it is deterministic.  For
-        n <= 3 it is anchored at ``v0`` and needs at least two points.
+        n <= 3 it is anchored at ``v0``.
         """
         u = self.points[i]
         if self.dim > 3:

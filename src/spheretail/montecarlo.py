@@ -29,11 +29,18 @@ CHUNK_TRIALS = 1 << 14
 # thread frees stays with its own malloc arena
 _BLOCK_TRIALS = 1 << 10
 
-_MASK64 = (1 << 64) - 1
+
+def _check_draws(trials, seed):
+    """Reject fewer than one trial, and a seed that does not fit the 64-bit
+    Philox key word (it would alias the seed it equals modulo 2**64)."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _chunk_generator(seed, chunk_index):
-    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -96,8 +103,7 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
 
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_draws(trials, seed)
     return np.concatenate(_map_chunks(
         lambda j, size: _chunk_tmax(config, law, seed, j, size), trials))
 
@@ -116,8 +122,7 @@ def simulate_pmax(config, law, c_grid, trials, seed):
         raise ValueError("c_grid must be strictly increasing")
     if np.any(c_grid <= 0.0):
         raise ValueError("thresholds must be positive")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_draws(trials, seed)
 
     def chunk_counts(chunk_index, size):
         tmax = _chunk_tmax(config, law, seed, chunk_index, size)

@@ -105,6 +105,17 @@ class TestSubcommands:
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_philox_key_is_rejected(self, tmp_path, capsys, command, seed):
+        cfg = write_config(tmp_path / "cfg.json")
+        source = ["--config", str(cfg)] if command == "simulate" else ["--case", "gauss"]
+        out = tmp_path / "x.csv"
+        argv = [command, *source, "--seed", seed, "--trials", "100", "--out", str(out)]
+        assert cli.run(argv) == 1
+        assert f"error: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials, message", [
         (0, "at least 1"), (None, "an integer"), (2000.9, "an integer"), (True, "an integer"),
         ("12", "an integer"), (float("inf"), "an integer"),
@@ -318,6 +329,33 @@ class TestReproduce:
             c = float(row[col["c"]])
             recomputed = p_tube(config, ChiSquare(3.0), c)
             assert float(row[col["p_tube"]]) == recomputed  # 17 digits are lossless
+
+    def test_cells_match_error_and_simulate(self, tmp_path, capsys):
+        # reproduce is the error report of its preset plus simulate's columns
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            law={"family": "f", "nu1": 3.0, "nu2": 3.0},
+            c_grid={"start": 2.0, "stop": 4.0, "step": 1.0},
+            trials=500,
+            seed=3,
+        )
+        paths = {name: tmp_path / f"{name}.csv" for name in ("reproduce", "error", "simulate")}
+        assert cli.run(["reproduce", "--case", "t", "--c-grid", "2:4:1", "--trials", "500",
+                        "--seed", "3", "--out", str(paths["reproduce"])]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {paths['reproduce']} (3 rows, trials=500, seed=3)\n"
+        )
+        for name in ("error", "simulate"):
+            assert cli.run([name, "--config", str(cfg), "--out", str(paths[name])]) == 0
+        tables = []
+        for path in paths.values():
+            header, rows = read_csv(path)
+            tables.append([dict(zip(header, row)) for row in rows])
+        assert len(tables[0]) == 3
+        for reproduced, error, simulated in zip(*tables):
+            assert {name: reproduced[name] for name in error} == error
+            assert reproduced["p_sim"] == simulated["p_hat"]
+            assert reproduced["se_sim"] == simulated["se"]
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):

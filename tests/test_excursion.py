@@ -110,6 +110,15 @@ class TestPTube:
         with pytest.raises(ValueError):
             p_tube(benchmark_config, t_law, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 30])
+    def test_single_point_limit_at_zero_is_half(self, gauss_law, n):
+        # c^2 underflows to 0 at c = ulp(0): tail(c^2 / y) is tail(0) = 1 at
+        # every node, y = 0 included, so the mixture is the whole beta mass
+        point = PointConfiguration.from_points([np.eye(n)[0]])
+        c = math.ulp(0.0)
+        assert p_tube(point, gauss_law, c) == pytest.approx(0.5, rel=0.0, abs=1e-12)
+        assert p_exact(point, gauss_law, c) == pytest.approx(0.5, rel=0.0, abs=1e-12)
+
     def test_gaussian_deep_tail_matches_normal_tail(self, benchmark_config, gauss_law):
         for c in (10.0, 20.0):
             expected = 1.5 * erfc(c / math.sqrt(2.0))
@@ -622,6 +631,13 @@ class TestThresholdSolving:
         c = solve_threshold(single_point, law, 0.4999999, method=method)
         prob = p_tube if method == "tube" else p_exact
         assert prob(single_point, law, c) == pytest.approx(0.4999999, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["tube", "exact"])
+    def test_single_point_target_above_half_is_refused_up_front(self, single_point, method):
+        excursion._mixture.cache_clear()
+        with pytest.raises(ValueError, match=r"not attainable \(must lie in \(0, 0\.5\)\)"):
+            solve_threshold(single_point, ChiSquare(3.0), 0.50000001, method=method)
+        assert excursion._mixture.cache_info().misses == 1
 
     def test_unknown_method(self, benchmark_config, t_law):
         with pytest.raises(ValueError, match="method"):

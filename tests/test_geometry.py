@@ -133,7 +133,20 @@ class TestCriticalRadius:
     def test_degenerate_single_point(self):
         config = PointConfiguration.from_points([[0.0, 0.0, 1.0]])
         assert config.is_degenerate
+        assert config.cos_sq_theta_star == 0.0
         assert config.theta_star == math.pi / 2.0
+        assert config.tan_theta_star == math.inf
+
+    @pytest.mark.parametrize("points", [
+        [[0.6, 0.8], [-0.6, -0.8]],
+        [[0.0, 0.6, 0.8], [0.0, -0.6, -0.8]],
+    ])
+    def test_antipodal_pair_has_a_right_angle_radius(self, points):
+        config = PointConfiguration.from_points(points)
+        assert config.rho_star == -1.0
+        assert config.cos_sq_theta_star == 0.0
+        assert config.theta_star == math.pi / 2.0
+        assert config.tan_theta_star == math.inf
 
     def test_multiplicity_counts_ordered_pairs(self):
         pair = PointConfiguration.from_correlation(equicorrelated(2, 0.3))
@@ -228,6 +241,17 @@ class TestNormalDirections:
             config = PointConfiguration.from_points(points)
             assert np.array_equal(config.nearest_neighbor_direction(0), expected)
             assert np.array_equal(config.nearest_neighbor_direction(1), expected)
+
+    @pytest.mark.parametrize("dim, size", [(2, 2), (3, 4096), (5, 2**14)])
+    def test_single_point_rule(self, dim, size):
+        # a lone point is anchored like an antipodal neighbor: at the second
+        # QR column of [u, I], and no direction sees another point
+        config = PointConfiguration.from_points([np.eye(dim)[0]])
+        assert np.array_equal(config.nearest_neighbor_direction(0), np.eye(dim)[1])
+        dirs = config.normal_directions(0)
+        assert dirs.shape == (size, dim)
+        assert_unit_and_normal(config, 0, dirs)
+        assert np.array_equal(config.cos_sq_local_angle(0, dirs), np.zeros(size))
 
     def test_higher_dimension_rule_depends_only_on_the_point(self):
         # for n > 3 the rule projects one shared sample, so it ignores the

@@ -213,3 +213,14 @@ class TestValidation:
             simulate_pmax(benchmark_config, t_law, np.array([1.0]), 0, seed=0)
         with pytest.raises(ValueError):
             sample_tmax(benchmark_config, t_law, 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_must_fit_the_philox_key(self, benchmark_config, t_law, seed):
+        # masked to 64 bits, such a seed would repeat the draws of another one
+        message = rf"seed must lie in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=message):
+            simulate_pmax(benchmark_config, t_law, np.array([1.0]), 10, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            sample_tmax(benchmark_config, t_law, 10, seed=seed)
+        largest = simulate_pmax(benchmark_config, t_law, np.array([1.0]), 10, seed=2**64 - 1)
+        assert largest.seed == 2**64 - 1
