@@ -118,7 +118,7 @@ def integrate(f, a, b):
 def find_root(f, lo, hi):
     """Root of ``f`` on the sign-changing bracket ``[lo, hi]`` by Brent's method.
 
-    Stops at an absolute width of ``1e-10 * (1 + |hi|)``.  Raises
+    Stops at an absolute width of ``1e-13 * (1 + |hi|)``.  Raises
     ``ValueError`` when ``f(lo)`` and ``f(hi)`` have the same sign.
     """
-    return _sci_optimize.brentq(f, lo, hi, xtol=1e-10 * (1.0 + abs(hi)))
+    return _sci_optimize.brentq(f, lo, hi, xtol=1e-13 * (1.0 + abs(hi)))

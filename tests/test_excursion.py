@@ -675,6 +675,15 @@ class TestThresholdSolving:
         reference = brentq(log_excess, c - 10.0 * tol, c + 10.0 * tol, xtol=1e-14)
         assert abs(c - reference) <= tol
 
+    def test_root_finder_tolerance_saves_a_build(self, benchmark_config):
+        # a model step must land within the search's own 1e-10 c of the root:
+        # with find_root stopping at 1e-10 (1 + |t|) in t = log c the step fell
+        # 1e-9 c short and the next one bisected, a third build
+        excursion._mixture.cache_clear()
+        c = solve_threshold(benchmark_config, FDist(3.0, 1.0), 1e-6, method="exact")
+        assert excursion._mixture.cache_info().misses == 2
+        assert c == pytest.approx(374137.0015836, rel=1e-10)
+
 
 class TestTailDependence:
     def test_gaussian_pair_is_independent(self, pair_config):

@@ -52,6 +52,19 @@ def bessel_tail_closed_form(nu1, nu2, x):
     return np.exp(logsumexp(log_terms, axis=0))
 
 
+def bessel_tail_mpmath(nu1, nu2, x):
+    """The even-nu2 closed form of ``bessel_tail_closed_form`` in 30-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, z = mpmath.mpf(nu1) / 2, mpmath.mpf(x) / 4
+        total = mpmath.fsum(
+            z ** ((a + k) / 2) * mpmath.besselk(a - k, 2 * mpmath.sqrt(z)) / mpmath.factorial(k)
+            for k in range(round(nu2 / 2.0))
+        )
+        return 2 * total / mpmath.gamma(a)
+
+
 DENSE_NODES, DENSE_WEIGHTS = np.polynomial.legendre.leggauss(1024)
 
 
@@ -135,12 +148,56 @@ class TestBesselTail:
         "nu", [(3.0, 4.0), (2.0, 2.0), (5.5, 2.0), (1.5, 6.0), (20.0, 20.0), (0.5, 20.0)]
     )
     def test_closed_form_for_even_nu2(self, nu):
+        # tail uses the closed form here, so the window rule is called directly
         xs = np.logspace(-14.0, 8.0, 441)
         expected = bessel_tail_closed_form(*nu, xs)
         keep = expected >= 1e-290
         assert keep.sum() > 300
-        got = Bessel(*nu).tail(xs)
+        got = Bessel(*nu)._window_tail(xs)
         assert np.max(np.abs(got[keep] / expected[keep] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "nu",
+        [(3.0, 4.0), (2.0, 2.0), (5.5, 2.0), (1.5, 6.0), (20.0, 20.0), (0.5, 20.0), (0.2, 2.0),
+         (0.5, 2.0), (2.0, 0.5), (4.0, 6.0), (80.0, 2.0), (160.0, 2.0)],
+    )
+    def test_even_nu_tail_against_mpmath(self, nu):
+        # every decade of [1e-300, 1e8] ((0.2, 2) and (0.5, 2) were off by up
+        # to 6e-5 below 1e-24 under the window rule), and the deep tail below
+        # 1e-200, where y = sqrt(x) exceeds 460 and its rounding alone would
+        # move the tail by 5e-14 if it were not put back
+        deep = np.linspace(2e5, 6e5, 41)
+        xs = np.concatenate([np.logspace(-300.0, 8.0, 309), deep])
+        got = Bessel(*nu).tail(xs)
+        even_second = nu if nu[1] % 2.0 == 0.0 else nu[::-1]
+        expected = np.array([float(bessel_tail_mpmath(*even_second, x)) for x in xs])
+        keep = expected >= 1e-290
+        assert keep.sum() > 300
+        rel_err = np.abs(got[keep] / expected[keep] - 1.0)
+        assert rel_err.max() <= 1e-13
+        deep_kept = keep[-deep.size:].sum()
+        assert deep_kept > 0 and rel_err[-deep_kept:].max() <= 1e-14
+
+    @pytest.mark.parametrize("nu", [(3.0, 4.0), (20.0, 20.0), (0.2, 2.0), (3.0, 5.0), (0.5, 0.5)])
+    def test_extreme_arguments(self, nu):
+        # the mixture evaluates tail(c^2 / 0) = tail(inf); subnormal x / 4
+        # underflows, and kve is NaN for arguments beyond about 1e15
+        xs = np.array([5e-324, 1e-300, 1e30, 1e300, math.inf])
+        got = Bessel(*nu).tail(xs)
+        assert np.all(np.isfinite(got))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert got[0] > 0.99
+        assert np.all(got[2:] == 0.0)
+
+    def test_rule_follows_the_degrees_of_freedom(self):
+        # the Bessel-K sum for an even degree of freedom while both are at
+        # most 160, the window rule otherwise
+        xs = np.logspace(-10.0, 5.0, 50)
+        for nu, closed in [((3.0, 4.0), True), ((160.0, 2.0), True), ((162.0, 2.0), False),
+                           ((3.0, 5.0), False)]:
+            law = Bessel(*nu)
+            rule = law._closed_form_tail if closed else law._window_tail
+            assert np.array_equal(law.tail(xs), np.minimum(rule(xs), 1.0)), nu
 
     def test_dual_route_against_adaptive_convolution(self):
         # same convolution evaluated by adaptive QUADPACK, split at the
@@ -168,7 +225,11 @@ class TestBesselTail:
 
             for x in (1e-10, 1e-3, 0.8, 12.0, 150.0, 1e4, 1e6):
                 got = law.tail(x)
-                assert got == pytest.approx(bessel_tail_dense(n1, n2, x), rel=1e-12, abs=1e-300)
+                dense = bessel_tail_dense(n1, n2, x)
+                assert got == pytest.approx(dense, rel=1e-12, abs=1e-300)
+                # the window rule too where the tail takes the closed form
+                window = law._window_tail(np.array([x]))[0]
+                assert window == pytest.approx(dense, rel=1e-12, abs=1e-300)
                 f = lambda t: density(t) * gammaincc(n2 / 2.0, x / (2.0 * t))
                 split = math.sqrt(x)
                 reference = adaptive(f, 0.0, split) + adaptive(f, split, np.inf)
