@@ -33,13 +33,7 @@ from .radial_laws import (
     g_beta,
     law_from_dict,
 )
-from .special_functions import (
-    QuadratureError,
-    find_root,
-    integrate,
-    reg_inc_beta,
-    reg_inc_gamma_upper,
-)
+from .special_functions import QuadratureError, find_root, integrate
 
 __version__ = "0.1.0"
 
@@ -72,8 +66,6 @@ __all__ = [
     "p_bounds",
     "p_exact",
     "p_tube",
-    "reg_inc_beta",
-    "reg_inc_gamma_upper",
     "sample_tmax",
     "simulate_pmax",
     "solve_threshold",

@@ -33,7 +33,7 @@ class ExperimentConfig:
 
     configuration: PointConfiguration
     law: object
-    c_grid: np.ndarray
+    c_grid: np.ndarray | None  # None for ``threshold``, which reads no grid
     trials: object        # as given; only ``simulate`` and ``reproduce`` read it
     seed: object          # as given; only ``simulate`` and ``reproduce`` read it
     output: str | None
@@ -42,7 +42,8 @@ class ExperimentConfig:
     def load(cls, args):
         """The experiment of the ``--config`` file, or of the ``--case`` preset
         of ``reproduce``, with ``--c-grid``, ``--out``, ``--trials`` and
-        ``--seed`` overriding it."""
+        ``--seed`` overriding it.  ``threshold`` reads no grid, so none is
+        built or checked for it."""
         if args.command == "reproduce":
             raw = _reproduce_preset(args.case)
         else:
@@ -62,7 +63,9 @@ class ExperimentConfig:
             raise ValueError("config must contain a 'law' object")
         law = law_from_dict(raw["law"])
         grid_spec = raw.get("c_grid")
-        if args.c_grid:
+        if args.command == "threshold":
+            grid = None
+        elif args.c_grid:
             grid = _parse_grid(args.c_grid)
         elif grid_spec is not None:
             grid = _build_grid(grid_spec["start"], grid_spec["stop"], grid_spec["step"])
@@ -322,7 +325,8 @@ def _build_parser():
         else:
             p.add_argument("--config", required=True, help="JSON experiment description")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
+        if name != "threshold":
+            p.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
         if name in ("simulate", "reproduce"):
             p.add_argument("--trials", type=_positive_int, help="Monte Carlo trials")
             p.add_argument("--seed", type=int, help="simulation seed in [0, 2^64)")

@@ -45,7 +45,7 @@ from scipy import special as _sci_special
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .radial_laws import UnsupportedLawError, g_beta
-from .special_functions import find_root, reg_inc_beta
+from .special_functions import find_root
 
 __all__ = [
     "ExcursionReport",
@@ -279,7 +279,7 @@ def delta_rv_limit(config, gamma):
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
     psi = _psi_grid(math.pi / 2.0)
     cdf = CubicHermiteSpline(
-        psi, reg_inc_beta(np.sin(psi) ** 2, p, q), _beta_density(psi, p, q)
+        psi, _sci_special.betainc(p, q, np.sin(psi) ** 2), _beta_density(psi, p, q)
     )
     per_point = _profile_moments(config).per_point
     mean = float(np.sum(per_point @ _pieces(cdf))) / config.n_points
@@ -307,7 +307,8 @@ def delta_bar(config, gamma):
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the error bound requires a finite positive index")
-    return reg_inc_beta(config.cos_sq_theta_star, gamma + 0.5, (config.dim - 1) / 2.0)
+    p, q = gamma + 0.5, (config.dim - 1) / 2.0
+    return float(_sci_special.betainc(p, q, config.cos_sq_theta_star))
 
 
 def p_bounds(config, law, c):
@@ -331,6 +332,7 @@ def d_k_quadrature(law, n, k, theta, c):
     Computes ``int_0^{cos^2 theta} [tail(c^2/y) / tail(c^2)] dBeta_{k/2,(n-k)/2}``,
     the exact finite-threshold counterpart of the asymptotic branches, with
     the grid mapped onto psi in [0, pi/2 - theta]; 0 for theta >= pi/2.
+    Raises ``FloatingPointError`` when tail(c^2) underflows to 0.
     """
     if c <= 0.0:
         raise ValueError("threshold must be positive")
@@ -340,7 +342,7 @@ def d_k_quadrature(law, n, k, theta, c):
         raise ValueError("theta must lie in [0, pi/2]")
     denom = float(law.tail(c * c))
     if denom <= 0.0:
-        raise ValueError("tail underflow at the threshold; ratio undefined")
+        raise FloatingPointError("tail underflow at the threshold; ratio undefined")
     if theta >= math.pi / 2.0:
         return 0.0
     _, cum = _cumulative_mixture(law, n, k, c, math.pi / 2.0 - theta)
@@ -377,7 +379,7 @@ def d_k_asymptotic(law, n, k, theta, c):
         a_gk = math.exp(
             _sci_special.betaln(gamma + p, q) - _sci_special.betaln(p, q)
         )
-        return a_gk * reg_inc_beta(cos_sq, gamma + p, q)
+        return a_gk * float(_sci_special.betainc(gamma + p, q, cos_sq))
     c_adj, b = _laplace_rate(law, desc, c)
     if theta == 0.0:
         return math.gamma(q) / (_sci_special.beta(p, q) * b**q)
@@ -453,7 +455,8 @@ def solve_threshold(config, law, target, method="tube"):
     the last three puts it within tol / 100 of the root.  The search covers
     all of c > 0: P at its lower end is the limit P(0+) and is evaluated
     only for a target outside (0, 1/2); P at c = 2^200 is evaluated only
-    when the tail bound cannot place the root below it.
+    when the tail bound cannot place the root below it.  Raises
+    ``FloatingPointError`` when P underflows to 0 at a point of the search.
     """
     if method == "tube":
         prob = p_tube
@@ -508,7 +511,7 @@ def solve_threshold(config, law, target, method="tube"):
             t = math.log(0.5 * (math.exp(lo) + math.exp(hi)))
         value = prob(config, law, math.exp(t))
         if value <= 0.0:
-            raise ValueError(
+            raise FloatingPointError(
                 f"P underflows to 0 at c={math.exp(t):.6g} while solving for target {target}"
             )
         f = math.log(value) - log_target

@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 from scipy import special as _sci_special
 
-from .special_functions import find_root, reg_inc_beta, reg_inc_gamma_upper
+from .special_functions import find_root
 
 __all__ = [
     "UnsupportedLawError",
@@ -98,11 +98,18 @@ class RadialLaw:
             object.__setattr__(self, param.name, float(value))
 
     def tail(self, x):
-        """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays."""
+        """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays.
+
+        The tail is 1 wherever x / scale is 0; ``_base_tail`` sees only the
+        positive arguments, and its values are clipped at 1.
+        """
         xa = np.asarray(x, dtype=float)
         if not np.all(xa >= 0.0):
             raise ValueError("tail argument must be nonnegative (and not NaN)")
-        out = self._base_tail(np.atleast_1d(xa) / self.scale)
+        base = np.atleast_1d(xa) / self.scale
+        out = np.ones_like(base)
+        pos = base > 0.0
+        out[pos] = np.minimum(self._base_tail(base[pos]), 1.0)
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
 
     def sample(self, rng, size=None):
@@ -143,7 +150,7 @@ class ChiSquare(RadialLaw):
     family = "chi_square"
 
     def _base_tail(self, x):
-        return reg_inc_gamma_upper(self.nu / 2.0, x / 2.0)
+        return _sci_special.gammaincc(self.nu / 2.0, x / 2.0)
 
     def _base_sample(self, rng, size):
         return rng.gamma(self.nu / 2.0, 2.0, size)
@@ -164,7 +171,7 @@ class Chi(RadialLaw):
     family = "chi"
 
     def _base_tail(self, x):
-        return reg_inc_gamma_upper(self.nu / 2.0, x * x / 2.0)
+        return _sci_special.gammaincc(self.nu / 2.0, x * x / 2.0)
 
     def _base_sample(self, rng, size):
         return np.sqrt(rng.gamma(self.nu / 2.0, 2.0, size))
@@ -184,7 +191,7 @@ class FDist(RadialLaw):
 
     def _base_tail(self, x):
         t = self.nu2 / (self.nu1 * x + self.nu2)
-        return reg_inc_beta(t, self.nu2 / 2.0, self.nu1 / 2.0)
+        return _sci_special.betainc(self.nu2 / 2.0, self.nu1 / 2.0, t)
 
     def _base_sample(self, rng, size):
         num = rng.gamma(self.nu1 / 2.0, 2.0, size) / self.nu1
@@ -203,10 +210,7 @@ class LogNormal(RadialLaw):
     family = "log_normal"
 
     def _base_tail(self, x):
-        out = np.ones_like(x)
-        pos = x > 0.0
-        out[pos] = _sci_special.ndtr(-np.log(x[pos]))
-        return out
+        return _sci_special.ndtr(-np.log(x))
 
     def _base_sample(self, rng, size):
         return np.exp(rng.standard_normal(size))
@@ -321,15 +325,12 @@ class Bessel(RadialLaw):
     family = "bessel"
 
     def _base_tail(self, x):
-        out = np.ones_like(x)
-        pos = x > 0.0
-        if np.any(pos):
-            even = self.nu1 % 2.0 == 0.0 or self.nu2 % 2.0 == 0.0
-            small = max(self.nu1, self.nu2) <= _CLOSED_FORM_MAX_NU
-            rule = self._closed_form_tail if even and small else self._window_tail
-            # where the tail is within rounding of 1 either sum can exceed it
-            out[pos] = np.minimum(rule(x[pos]), 1.0)
-        return out
+        # where the tail is within rounding of 1 either sum can exceed it, so
+        # the clip of ``tail`` matters here
+        even = self.nu1 % 2.0 == 0.0 or self.nu2 % 2.0 == 0.0
+        small = max(self.nu1, self.nu2) <= _CLOSED_FORM_MAX_NU
+        rule = self._closed_form_tail if even and small else self._window_tail
+        return rule(x)
 
     def _closed_form_tail(self, x):
         """Finite Bessel-K sum for x > 0 when a degree of freedom is even."""

@@ -1,10 +1,11 @@
-"""Self-contained numerical kernel.
+"""Self-contained numerical kernel: fixed-tolerance quadrature and Brent
+root finding.
 
-Regularized incomplete beta/gamma functions, fixed-tolerance quadrature and
-Brent root finding.  Each routine is a thin, domain-checked wrapper around
-``scipy.special`` (Cephes), ``scipy.integrate.quad`` (QUADPACK, an adaptive
-scheme with an embedded Gauss/Kronrod rule pair that copes with integrable
-endpoint singularities) or ``scipy.optimize.brentq``.
+Each routine is a thin wrapper around ``scipy.integrate.quad`` (QUADPACK, an
+adaptive scheme with an embedded Gauss/Kronrod rule pair that copes with
+integrable endpoint singularities) or ``scipy.optimize.brentq``.  The
+incomplete gamma and beta functions of the radial tails are called from
+``scipy.special`` where they are used.
 
 ``integrate`` has no caller inside the package; its absolute tolerance of
 1e-14 gives no relative accuracy for integrals below about 1e-14.
@@ -13,18 +14,10 @@ Every routine here is a pure function of its inputs and safe for concurrent
 invocation; there is no shared mutable state.
 """
 
-import numpy as np
 from scipy import integrate as _sci_integrate
 from scipy import optimize as _sci_optimize
-from scipy import special as _sci_special
 
-__all__ = [
-    "QuadratureError",
-    "reg_inc_beta",
-    "reg_inc_gamma_upper",
-    "integrate",
-    "find_root",
-]
+__all__ = ["QuadratureError", "integrate", "find_root"]
 
 
 class QuadratureError(ArithmeticError):
@@ -46,52 +39,6 @@ class QuadratureError(ArithmeticError):
         )
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def _require_positive(name, value):
-    if np.any(np.asarray(value) <= 0.0):
-        raise ValueError(f"{name} must be strictly positive, got {value}")
-
-
-def reg_inc_beta(x, p, q):
-    """Regularized incomplete beta function I_x(p, q).
-
-    Parameters
-    ----------
-    x : float or array_like in [0, 1]
-    p, q : float or array_like, > 0
-
-    Returns
-    -------
-    float or ndarray in [0, 1], nondecreasing in ``x``.
-    """
-    _require_positive("p", p)
-    _require_positive("q", q)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    out = _sci_special.betainc(p, q, xa)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def reg_inc_gamma_upper(s, x):
-    """Regularized upper incomplete gamma function Q(s, x) = Gamma(s, x)/Gamma(s).
-
-    Parameters
-    ----------
-    s : float or array_like, > 0
-    x : float or array_like, >= 0
-
-    Returns
-    -------
-    float or ndarray in [0, 1], nonincreasing in ``x``.
-    """
-    _require_positive("s", s)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError(f"x must be nonnegative, got {x}")
-    out = _sci_special.gammaincc(s, xa)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def integrate(f, a, b):

@@ -144,6 +144,22 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == f"error: seed must be an integer, got {seed!r}\n"
 
+    def test_threshold_reads_no_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        assert cli.run(["threshold", "--config", str(cfg), "--target", "0.05"]) == 0
+        expected = capsys.readouterr().out
+        # a config grid that every grid command refuses is not read
+        cfg = write_config(tmp_path / "bad.json", c_grid={"start": 3.0, "stop": 1.0, "step": 0.5})
+        assert cli.run(["approx", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 1
+        assert "grid start must be below stop" in capsys.readouterr().err
+        assert cli.run(["threshold", "--config", str(cfg), "--target", "0.05"]) == 0
+        assert capsys.readouterr().out == expected
+        # and a grid flag is a usage error, like --trials on approx
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["threshold", "--config", str(cfg), "--target", "0.05", "--c-grid", "1:2:0.5"])
+        assert exc.value.code == 2
+        assert "--c-grid" in capsys.readouterr().err
+
     def test_threshold_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert cli.run(
@@ -233,14 +249,16 @@ class TestValidationFailures:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_underflowing_relative_error_exit_code(self, tmp_path, capsys):
-        # the Gaussian tail underflows to 0 at c = 40, leaving Delta undefined
+        # the Gaussian tail underflows to 0 at c = 40, leaving Delta undefined,
+        # and P underflows near c = 37.94 before it reaches the target 1e-320
         cfg = write_config(tmp_path / "cfg.json")
-        grid = ["--c-grid", "40:41:1", "--out", str(tmp_path / "x.csv")]
+        grid = ["--c-grid", "40:41:1"]
         for argv in (
-            ["error", "--config", str(cfg)],
-            ["reproduce", "--case", "gauss", "--trials", "100"],
+            ["error", "--config", str(cfg), *grid],
+            ["reproduce", "--case", "gauss", "--trials", "100", *grid],
+            ["threshold", "--config", str(cfg), "--target", "1e-320"],
         ):
-            assert cli.run(argv + grid) == 2
+            assert cli.run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("numerical failure:") and err.count("\n") == 1
 

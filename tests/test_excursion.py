@@ -484,6 +484,9 @@ class TestMixtureRatio:
             d_k_quadrature(gauss_law, 3, 1, 0.3, -2.0)
         with pytest.raises(ValueError):
             d_k_asymptotic(gauss_law, 3, 0, 0.3, 2.0)
+        # the Gaussian tail(c^2) underflows to 0 at c = 40: a numerical failure
+        with pytest.raises(FloatingPointError, match="tail underflow at the threshold"):
+            d_k_quadrature(gauss_law, 3, 1, 0.3, 40.0)
 
 
 class TestLogDeltaAsymptotic:
@@ -654,7 +657,9 @@ class TestThresholdSolving:
         # the computed tail, and with it P, drops to 0 near c = 37.9414 before P
         # reaches 1e-320, and the first point, where the tail bound meets the
         # target, already lies there
-        with pytest.raises(ValueError, match=r"c=37\.94\d* while solving for target 1e-320"):
+        with pytest.raises(
+            FloatingPointError, match=r"c=37\.94\d* while solving for target 1e-320"
+        ):
             solve_threshold(benchmark_config, gauss_law, 1e-320, method="tube")
 
     @pytest.mark.parametrize("target", [0.3, 0.1, 1e-3, 1e-6])

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc, gammaln, kve, logsumexp, ndtr
+from scipy.integrate import quad
+from scipy.special import betaln, gammaincc, gammaln, kve, logsumexp, ndtr
 
 from spheretail import (
     Bessel,
@@ -28,6 +29,11 @@ BESSEL_TAIL_ORACLE = {
     (1.5, 2.5, 5.0): 0.2147892032674801125441,
     (1.5, 2.5, 60.0): 0.001441053579177958810839,
 }
+
+# Frozen 40-digit values of the regularized incomplete gamma and beta
+# functions behind the chi-square and F tails.
+Q_3_HALVES_AT_2 = 0.2614641299491106222028  # Q(3/2, 2) = Pr(chi2_3 > 4)
+INC_BETA_ORACLE = 0.01892712407194565165345  # I_0.3(2.5, 0.5) = Pr(F(1, 5) > 35/3)
 
 KS_CRITICAL_01_PERCENT = 1.94947 / math.sqrt(10**5)
 
@@ -116,7 +122,12 @@ class TestExactTails:
 
     def test_tail_at_zero_and_domain(self):
         for law in ALL_FAMILIES:
-            assert law.tail(0.0) == pytest.approx(1.0, abs=1e-12)
+            assert law.tail(0.0) == 1.0
+            # 5e-324 / 4 rounds to 0, so the rule must look at x / scale (the
+            # log-normal's log of 0 would warn, and a warning fails the test)
+            scaled = dataclasses.replace(law, scale=4.0)
+            assert scaled.tail(5e-324) == 1.0
+            assert np.array_equal(scaled.tail(np.array([0.0, 5e-324])), [1.0, 1.0])
             with pytest.raises(ValueError):
                 law.tail(-1.0)
 
@@ -132,6 +143,99 @@ class TestExactTails:
         law = FDist(3.0, 3.0)
         xs = np.array([0.5, 1.0, 7.0])
         assert np.allclose(law.tail(xs), [law.tail(float(x)) for x in xs], rtol=1e-14)
+
+
+class TestIncompleteGammaBetaTails:
+    """The chi-square tail is Q(nu/2, x/2) and the F(nu1, nu2) tail is
+    I_t(nu2/2, nu1/2) with t = nu2 / (nu1 x + nu2)."""
+
+    def test_f_tail_near_zero_is_full_mass(self):
+        # I_t(2, 3) with t within rounding of 1
+        assert FDist(6.0, 4.0).tail(1e-300) == pytest.approx(1.0, abs=1e-14)
+
+    def test_f_tail_sqrt_case(self):
+        # I_t(1/2, 1) = sqrt(t), at t = 1/4
+        assert FDist(2.0, 1.0).tail(1.5) == pytest.approx(0.5, abs=1e-12)
+
+    def test_f_tail_square_case(self):
+        # I_t(2, 1) = t^2, at t = 5/8
+        assert FDist(2.0, 4.0).tail(1.2) == pytest.approx(0.390625, abs=1e-14)
+
+    def test_f_tail_oracle_value(self):
+        assert FDist(1.0, 5.0).tail(35.0 / 3.0) == pytest.approx(INC_BETA_ORACLE, rel=1e-12)
+
+    def test_f_tail_reflection_identity(self):
+        # F(nu1, nu2) is 1 / F(nu2, nu1): I_t(p, q) + I_(1-t)(q, p) = 1
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x = rng.uniform(0.01, 20.0)
+            nu1, nu2 = rng.uniform(0.4, 16.0, size=2)
+            total = FDist(nu1, nu2).tail(x) + FDist(nu2, nu1).tail(1.0 / x)
+            assert abs(total - 1.0) <= 1e-10
+
+    def test_f_tail_agrees_with_quadrature_of_beta_density(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            x = rng.uniform(0.05, 20.0)
+            nu1, nu2 = rng.uniform(1.0, 10.0, size=2)
+            p, q = nu2 / 2.0, nu1 / 2.0
+            t = nu2 / (nu1 * x + nu2)
+            piece = quad(lambda y: y ** (p - 1.0) * (1.0 - y) ** (q - 1.0), 0.0, t,
+                         epsabs=1e-14, epsrel=1e-10, limit=400)[0]
+            expected = piece / math.exp(betaln(p, q))
+            assert FDist(nu1, nu2).tail(x) == pytest.approx(expected, abs=1e-8)
+
+    def test_f_tail_monotone(self):
+        xs = np.append(np.linspace(0.0, 30.0, 25), math.inf)
+        vals = FDist(1.2, 3.4).tail(xs)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert vals[0] == 1.0 and vals[-1] == 0.0
+
+    def test_f_domain_is_checked_where_inputs_enter(self):
+        with pytest.raises(ValueError):
+            FDist(1.0, 1.0).tail(-0.1)
+        with pytest.raises(ValueError):
+            FDist(2.0, 0.0)
+
+    def test_chi_square_tail_at_zero(self):
+        assert ChiSquare(1.0).tail(0.0) == 1.0
+
+    def test_chi_square_exponential_case(self):
+        # Q(1, 2) = e^-2
+        assert ChiSquare(2.0).tail(4.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
+
+    def test_chi_square_three_halves_closed_form(self):
+        # Pr(chi2_3 > 4) = 2(1 - Phi(2)) + sqrt(8/pi) e^-2, an independent
+        # normal-tail identity, plus the frozen high-precision value.
+        oracle = 2.0 * (1.0 - ndtr(2.0)) + math.sqrt(8.0 / math.pi) * math.exp(-2.0)
+        value = ChiSquare(3.0).tail(4.0)
+        assert value == pytest.approx(oracle, rel=1e-12)
+        assert value == pytest.approx(Q_3_HALVES_AT_2, rel=1e-13)
+
+    def test_chi_square_three_halves_monte_carlo(self):
+        # sum of three squared normals exceeding 4
+        rng = np.random.default_rng(202)
+        z = rng.standard_normal((10**6, 3))
+        freq = np.mean((z**2).sum(axis=1) > 4.0)
+        se = math.sqrt(freq * (1.0 - freq) / 10**6)
+        assert abs(freq - ChiSquare(3.0).tail(4.0)) <= 4.0 * se
+
+    def test_chi_square_tail_agrees_with_density_quadrature(self):
+        for s, x in [(0.7, 0.5), (1.5, 2.0), (4.0, 6.0)]:
+            law, big = ChiSquare(2.0 * s), x + 80.0
+            piece = quad(lambda t: math.exp((s - 1.0) * math.log(t) - t - gammaln(s)), x, big,
+                         epsabs=1e-14, epsrel=1e-10, limit=400)[0]
+            assert law.tail(2.0 * x) == pytest.approx(piece + law.tail(2.0 * big), abs=1e-8)
+
+    def test_chi_square_tail_monotone(self):
+        vals = ChiSquare(4.6).tail(np.linspace(0.0, 60.0, 40))
+        assert np.all(np.diff(vals) <= 0.0)
+
+    def test_chi_square_domain_is_checked_where_inputs_enter(self):
+        with pytest.raises(ValueError):
+            ChiSquare(-2.0)
+        with pytest.raises(ValueError):
+            ChiSquare(2.0).tail(-1.0)
 
 
 class TestBesselTail:
@@ -204,8 +308,6 @@ class TestBesselTail:
         # integrand's saddle t = sqrt(x); a QUADPACK warning fails the test.
         # QUADPACK holds about 1e-10 relative (less at tiny x), so a dense
         # fixed rule on a wide window is the 1e-12 reference.
-        from scipy.integrate import quad
-
         def adaptive(f, a, b):
             result = quad(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=500, full_output=1)
             assert len(result) == 3, result[3]
