@@ -326,6 +326,16 @@ def p_bounds(config, law, c):
 # mixture ratios and their asymptotics
 # ----------------------------------------------------------------------
 
+def _check_d_k_args(n, k, theta, c):
+    """Refuse the (k, theta, c) that neither D_k function defines, NaN included."""
+    if not c > 0.0:
+        raise ValueError("threshold must be positive")
+    if not 1 <= k <= n - 1:
+        raise ValueError("k must satisfy 1 <= k <= n - 1")
+    if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
+        raise ValueError("theta must lie in [0, pi/2]")
+
+
 def d_k_quadrature(law, n, k, theta, c):
     """Tail-ratio beta-mixture D_k(theta, c) by the Simpson rule of the marginal.
 
@@ -334,12 +344,7 @@ def d_k_quadrature(law, n, k, theta, c):
     the grid mapped onto psi in [0, pi/2 - theta]; 0 for theta >= pi/2.
     Raises ``FloatingPointError`` when tail(c^2) underflows to 0.
     """
-    if c <= 0.0:
-        raise ValueError("threshold must be positive")
-    if not 1 <= k <= n - 1:
-        raise ValueError("k must satisfy 1 <= k <= n - 1")
-    if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
-        raise ValueError("theta must lie in [0, pi/2]")
+    _check_d_k_args(n, k, theta, c)
     denom = float(law.tail(c * c))
     if denom <= 0.0:
         raise FloatingPointError("tail underflow at the threshold; ratio undefined")
@@ -367,10 +372,7 @@ def d_k_asymptotic(law, n, k, theta, c):
     handled by its own power-of-b formula.  Thresholds are first rescaled
     by 1/sqrt(scale) so the base-family closed forms apply.
     """
-    if c <= 0.0:
-        raise ValueError("threshold must be positive")
-    if not 1 <= k <= n - 1:
-        raise ValueError("k must satisfy 1 <= k <= n - 1")
+    _check_d_k_args(n, k, theta, c)
     desc = law.class_descriptor()
     p, q = k / 2.0, (n - k) / 2.0
     cos_sq = math.cos(theta) ** 2
@@ -410,7 +412,7 @@ def log_delta_asymptotic(config, law, c):
         )
     if config.n_points < 2:
         raise ValueError("the prediction requires at least two points")
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("threshold must be positive")
     n = config.dim
     theta = config.theta_star

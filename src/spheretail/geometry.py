@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 from scipy.stats import qmc
 
-__all__ = ["PointConfiguration", "RHO_TIE_TOL"]
+__all__ = ["PointConfiguration"]
 
 _UNIT_TOL = 1e-12
 _GRAM_TOL = 1e-12
@@ -31,7 +31,7 @@ QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
 _QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
 
 # Tolerance for deciding that a pair attains the maximal correlation; shared
-# by the multiplicity count and the bound computations.
+# by ``multiplicity`` and ``nearest_neighbor_direction``.
 RHO_TIE_TOL = 1e-12
 
 

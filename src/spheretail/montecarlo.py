@@ -118,9 +118,9 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     c_grid = np.asarray(c_grid, dtype=float)
     if c_grid.ndim != 1 or c_grid.size == 0:
         raise ValueError("c_grid must be a nonempty 1-d array")
-    if np.any(np.diff(c_grid) <= 0.0):
+    if not np.all(np.diff(c_grid) > 0.0):
         raise ValueError("c_grid must be strictly increasing")
-    if np.any(c_grid <= 0.0):
+    if not np.all(c_grid > 0.0):
         raise ValueError("thresholds must be positive")
     _check_draws(trials, seed)
 

@@ -484,6 +484,16 @@ class TestMixtureRatio:
             d_k_quadrature(gauss_law, 3, 1, 0.3, -2.0)
         with pytest.raises(ValueError):
             d_k_asymptotic(gauss_law, 3, 0, 0.3, 2.0)
+        # both D_k functions share one check: a NaN threshold fails it, and
+        # d_k_asymptotic refuses the angles d_k_quadrature refuses
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            d_k_quadrature(gauss_law, 3, 1, 0.3, math.nan)
+        for law in (gauss_law, FDist(3.0, 3.0)):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                d_k_asymptotic(law, 3, 1, 0.3, math.nan)
+            for theta in (math.nan, -0.1, 2.0):
+                with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+                    d_k_asymptotic(law, 3, 1, theta, 5.0)
         # the Gaussian tail(c^2) underflows to 0 at c = 40: a numerical failure
         with pytest.raises(FloatingPointError, match="tail underflow at the threshold"):
             d_k_quadrature(gauss_law, 3, 1, 0.3, 40.0)
@@ -568,6 +578,10 @@ class TestLogDeltaAsymptotic:
         single = PointConfiguration.from_points([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             log_delta_asymptotic(single, gauss_law, 4.0)
+
+    def test_nan_threshold_rejected(self, benchmark_config, gauss_law):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            log_delta_asymptotic(benchmark_config, gauss_law, math.nan)
 
 
 class TestThresholdSolving:

@@ -207,6 +207,11 @@ class TestValidation:
             simulate_pmax(benchmark_config, t_law, np.array([-1.0, 1.0]), 10, seed=0)
         with pytest.raises(ValueError):
             simulate_pmax(benchmark_config, t_law, np.array([]), 10, seed=0)
+        # NaN compares false both ways, so it must fail the checks, not pass them
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simulate_pmax(benchmark_config, t_law, np.array([1.0, np.nan]), 10, seed=0)
+        with pytest.raises(ValueError, match="thresholds must be positive"):
+            simulate_pmax(benchmark_config, t_law, np.array([np.nan]), 10, seed=0)
 
     def test_trials_must_be_positive(self, benchmark_config, t_law):
         with pytest.raises(ValueError):
