@@ -25,11 +25,15 @@ probabilities.  The tail-ratio mixture D_k(theta, c) takes the same rule
 with the grid mapped onto [0, pi/2 - theta].  Averages over normal
 directions use the fixed equal-weight rule of
 ``PointConfiguration.normal_directions``, so all results are
-deterministic.  They are linear in the interpolant's cubic pieces: power
-moments of the directions' offsets within each piece are accumulated once
-per configuration, and every average is then one dot product with the
-piece coefficients.  Thresholds are solved on log P(c) by steps steered by
-the radial law's scalar tail, so that a solve builds few mixtures.
+deterministic.  Each direction enters at its local angle theta through
+the psi-grid coordinate pi/2 - theta, an arctan2 that the geometry's one
+local-angle kernel returns; for n > 3 the kernel reads the shared Sobol
+rows unprojected.  The averages are linear in the interpolant's cubic
+pieces: power moments of the directions' offsets within each piece are
+accumulated once per configuration, and every average is then one dot
+product with the piece coefficients.  Thresholds are solved on log P(c) by
+steps steered by the radial law's scalar tail, so that a solve builds few
+mixtures.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -161,13 +165,16 @@ class _ProfileMoments(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _profile_moments(config):
-    """Power moments of the cos^2 local angles over ``config.normal_directions``.
+    """Power moments of the local angles over ``config.normal_directions``.
 
-    Each direction's squared cosine a maps to x = arcsin(sqrt(a)) in piece j
-    of the psi grid, at offset s = x - psi_j.  Any cubic spline on that grid
-    then averages over the directions of point i as ``per_point[i] @ coef``
-    (coefficients from ``_pieces``), and for n > 3 its square sums over all
-    directions through ``pooled``.
+    Each direction's local angle theta enters at x = pi/2 - theta, its
+    coordinate on the psi grid, as the geometry's kernel returns it: the
+    arctan2 of the largest cotangent numerator and the direction's normal
+    norm, computed for n > 3 from the raw shared Sobol rows.  x lies in
+    piece j of the psi grid, at offset s = x - psi_j.  Any cubic spline on
+    that grid then averages over the directions of point i as
+    ``per_point[i] @ coef`` (coefficients from ``_pieces``), and for n > 3
+    its square sums over all directions through ``pooled``.
     """
     psi = _psi_grid(math.pi / 2.0)
     pieces = PSI_NODES - 1
@@ -176,8 +183,7 @@ def _profile_moments(config):
     per_point = np.empty((n_points, 4, pieces))
     pooled = np.zeros((degree + 1, pieces))
     for i in range(n_points):
-        a = config.cos_sq_local_angle(i, config.normal_directions(i))
-        x = np.arcsin(np.sqrt(a))
+        x = config._rule_psi_angles(i)
         j = _psi_piece(psi, x)
         s = x - psi[j]
         power = np.ones_like(s)
@@ -187,8 +193,8 @@ def _profile_moments(config):
             if k < 4:
                 per_point[i, k] = sums
             power *= s
-    per_point /= a.size
-    return _ProfileMoments(per_point.reshape(n_points, -1), pooled, a.size)
+    per_point /= x.size
+    return _ProfileMoments(per_point.reshape(n_points, -1), pooled, x.size)
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +278,16 @@ def delta_rv_limit(config, gamma):
     squared cosine of the local angle over the normal directions of every
     point.  The distribution function enters as its cubic Hermite
     interpolant on the psi grid, with the exact density as slope, averaged
-    through the direction moments.  Zero for a single point.
+    through the direction moments.  Zero for a single point.  Built once per
+    (config, gamma), as the mixtures are per (law, n, c).
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the limiting error requires a finite positive index")
+    return _rv_limit(config, gamma)
+
+
+@lru_cache(maxsize=256)
+def _rv_limit(config, gamma):
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
     psi = _psi_grid(math.pi / 2.0)
     cdf = CubicHermiteSpline(

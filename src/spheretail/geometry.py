@@ -2,11 +2,20 @@
 
 A configuration is a set of N unit vectors in R^n together with its Gram
 (correlation) matrix.  The module computes the squared cosine of the local
-projection-uniqueness angle over an array of normal directions, the
-critical radius of the set, the multiplicity of the closest pair, and, in
+projection-uniqueness angle over an array of directions, the critical
+radius of the set, the multiplicity of the closest pair, and, in
 ``PointConfiguration.normal_directions``, the one fixed equal-weight rule
 of directions on the normal sphere at each point (two directions for
 n = 2, a trapezoidal circle for n = 3, a seeded Sobol sample for n > 3).
+
+Local angles come from one kernel.  At point i each other point j enters
+as q_ij = (u_j - rho_ij u_i) / (1 - rho_ij), which is orthogonal to u_i, so
+for any row z the cotangent of the angle is max(0, max_j q_ij . z) / |z_perp|
+with |z_perp|^2 = |z|^2 - (u_i . z)^2: a row stands for its normalised
+projection onto the normal sphere, and nothing is projected.  For n > 3
+the rule's averages therefore run on the raw shared Sobol rows, whose
+squared norms are computed once per sample, in blocks of
+``_BLOCK_DIRECTIONS`` directions, so no (N - 1) x m product is ever held.
 
 Configurations are immutable after construction and every operation is
 pure and deterministic.
@@ -29,6 +38,10 @@ _PSD_TOL = 1e-10
 PHI_NODES = 4096        # trapezoidal nodes on the normal circle (n = 3)
 QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
 _QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
+_BLOCK_DIRECTIONS = 2048  # directions per product block of the local-angle kernel
+# a row whose normal part has squared norm at most this share of its own
+# squared norm lies along u_i, to rounding, and has no local angle
+_NORMAL_TOL = 1e-12
 
 # Tolerance for deciding that a pair attains the maximal correlation; shared
 # by ``multiplicity`` and ``nearest_neighbor_direction``.
@@ -179,20 +192,60 @@ class PointConfiguration:
     # ------------------------------------------------------------------
 
     def cos_sq_local_angle(self, i, directions):
-        """cos^2 of the local angle at point i for an array of normal directions.
+        """cos^2 of the local angle at point i for an array of directions.
 
-        ``directions`` has shape (m, n) with rows orthogonal to ``u_i``.
-        The angle follows the cotangent rule over the other points, with the
-        largest cotangent floored at 0: a direction that no other point lies
-        ahead of, and every direction of a single point, has angle pi/2
-        (cos^2 = 0), so the correction integral excludes nothing there.
+        ``directions`` has shape (m, n), or (n,) for one direction.  Each row
+        stands for its projection onto the normal sphere at ``u_i``,
+        normalised: rows that differ by a positive factor or by a multiple of
+        ``u_i`` have the same angle.  The angle follows the cotangent rule
+        over the other points, with the largest cotangent floored at 0: a
+        direction that no other point lies ahead of, and every direction of
+        a single point, has angle pi/2 (cos^2 = 0), so the correction
+        integral excludes nothing there.
+
+        Raises
+        ------
+        ValueError
+            If a row has no component normal to ``u_i``.
         """
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
-        others = [j for j in range(self.n_points) if j != i]
-        rho_i = self.correlation[i, others]
-        ratios = (self.points[others] @ directions.T) / (1.0 - rho_i)[:, None]
-        cot = ratios.max(axis=0, initial=0.0)
-        return cot**2 / (1.0 + cot**2)
+        return np.sin(self._psi_angles(i, directions.T)) ** 2
+
+    def _rule_psi_angles(self, i):
+        """``_psi_angles`` over the rule of ``normal_directions(i)``.
+
+        For n > 3 the raw shared Sobol rows stand for their projections, so
+        the rule's directions are never built.
+        """
+        if self.dim > 3:
+            return self._psi_angles(i, *_sobol_columns(self.dim))
+        return self._psi_angles(i, self.normal_directions(i).T)
+
+    def _psi_angles(self, i, columns, norms_sq=None):
+        """pi/2 minus the local angle at point i for each direction z.
+
+        The local-angle kernel.  ``columns`` holds the directions as the
+        columns of an (n, m) array; ``norms_sq``, their squared norms, is
+        computed when not given.  The result is
+        arctan2(max(0, max_j q_ij . z), |z_perp|), which is arcsin(cos theta),
+        the local angle's coordinate on the psi grid of the beta mixtures.
+        Raises ``ValueError`` for a direction along ``u_i``.
+        """
+        if norms_sq is None:
+            norms_sq = np.einsum("ij,ij->j", columns, columns)
+        u = self.points[i]
+        others = np.arange(self.n_points) != i
+        rho = self.correlation[i, others]
+        # q_ij . z = q_ij . z_perp, because q_ij is orthogonal to u_i
+        q = (self.points[others] - np.outer(rho, u)) / (1.0 - rho)[:, None]
+        normal_sq = norms_sq - (u @ columns) ** 2
+        if np.any(normal_sq <= _NORMAL_TOL * norms_sq):
+            raise ValueError(f"a direction has no component normal to point {i}")
+        ahead = np.empty(columns.shape[1])
+        for start in range(0, columns.shape[1], _BLOCK_DIRECTIONS):
+            block = columns[:, start:start + _BLOCK_DIRECTIONS]
+            np.max(q @ block, axis=0, initial=0.0, out=ahead[start:start + _BLOCK_DIRECTIONS])
+        return np.arctan2(ahead, np.sqrt(normal_sq))
 
     def nearest_neighbor_direction(self, i):
         """Unit tangent at ``u_i`` toward its nearest neighbor.
@@ -231,8 +284,8 @@ class PointConfiguration:
         """
         u = self.points[i]
         if self.dim > 3:
-            z = _sobol_gaussians(self.dim)
-            z = z - np.outer(z @ u, u)
+            z = _sobol_columns(self.dim)[0].T.copy()  # the rows as drawn, C-ordered
+            z -= np.outer(z @ u, u)
             return z / np.linalg.norm(z, axis=1, keepdims=True)
         v0 = self.nearest_neighbor_direction(i)
         if self.dim == 2:
@@ -242,13 +295,17 @@ class PointConfiguration:
 
 
 @lru_cache(maxsize=16)
-def _sobol_gaussians(dim):
-    """Read-only scrambled Sobol sample of 2**QMC_LOG2_POINTS normal vectors in R^dim.
+def _sobol_columns(dim):
+    """Read-only scrambled Sobol sample of 2**QMC_LOG2_POINTS normal vectors
+    in R^dim, as the columns of a (dim, 2**QMC_LOG2_POINTS) array, and their
+    read-only squared norms.
 
     The seed is fixed, so the sample is drawn once per dimension and shared
     by every point and configuration.
     """
     sobol = qmc.Sobol(d=dim, scramble=True, seed=_QMC_SEED)
-    z = special.ndtri(sobol.random_base2(QMC_LOG2_POINTS))
-    z.setflags(write=False)
-    return z
+    columns = np.ascontiguousarray(special.ndtri(sobol.random_base2(QMC_LOG2_POINTS)).T)
+    norms_sq = np.einsum("ij,ij->j", columns, columns)
+    columns.setflags(write=False)
+    norms_sq.setflags(write=False)
+    return columns, norms_sq

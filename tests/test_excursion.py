@@ -36,6 +36,8 @@ from spheretail import (
 )
 from spheretail.cli import REPRODUCE_CASES
 
+from conftest import psi_angle_oracle, random_config
+
 
 # one law per family; all but Chi(3) are the laws of the reproduce cases
 MIXTURE_LAWS = [
@@ -218,12 +220,6 @@ class TestDeltaExact:
             delta_exact(benchmark_config, gauss_law, 40.0)
 
 
-def random_config(n, n_points, seed):
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((n_points, n))
-    return PointConfiguration.from_points(points / np.linalg.norm(points, axis=1, keepdims=True))
-
-
 # configurations of every direction rule: n = 2 and 3 (anchored), n > 3 (Sobol),
 # plus a single point and an antipodal pair
 MOMENT_CONFIGS = [
@@ -236,13 +232,9 @@ MOMENT_CONFIGS = [
 
 
 def per_node_profiles(config):
-    """cos^2 local angles at every node of the direction rule, point by point."""
-    if config.n_points == 1:
-        return [np.zeros(1)]
-    return [
-        config.cos_sq_local_angle(i, config.normal_directions(i))
-        for i in range(config.n_points)
-    ]
+    """Local angles on the psi grid (pi/2 - theta) at every node of the
+    direction rule, point by point, from the projection oracle."""
+    return [psi_angle_oracle(config, i) for i in range(config.n_points)]
 
 
 class TestDirectionMoments:
@@ -268,8 +260,8 @@ class TestDirectionMoments:
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     mixture = PchipInterpolator(psi, cum)
                 corrections = var = 0.0
-                for a in per_node_profiles(config):
-                    vals = 0.5 * mixture(np.arcsin(np.sqrt(a)))
+                for x in per_node_profiles(config):
+                    vals = 0.5 * mixture(x)
                     corrections += vals.mean()
                     var += vals.var() / vals.size
                 tube = p_tube(config, law, c)
@@ -286,7 +278,7 @@ class TestDirectionMoments:
         for gamma in (0.5, 1.5, 5.0):
             p, q = gamma + 0.5, (config.dim - 1) / 2.0
             expected = np.mean(
-                [betainc(p, q, a).mean() for a in per_node_profiles(config)]
+                [betainc(p, q, np.sin(x) ** 2).mean() for x in per_node_profiles(config)]
             )
             assert delta_rv_limit(config, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -301,6 +293,17 @@ class TestDirectionMoments:
 class TestRegularlyVaryingLimit:
     def test_single_point_is_zero(self, single_point):
         assert delta_rv_limit(single_point, 1.5) == 0.0
+
+    def test_report_grid_builds_the_limit_once(self, t_law):
+        config = random_config(5, 4, seed=31)
+        excursion._rv_limit.cache_clear()
+        grid = np.linspace(1.0, 8.0, 15)
+        reports = [build_report(config, t_law, c) for c in grid]
+        info = excursion._rv_limit.cache_info()
+        assert (info.misses, info.hits) == (1, grid.size - 1)
+        # the cached value is the one a fresh build gives, to the bit
+        fresh = excursion._rv_limit.__wrapped__(config, 1.5)
+        assert all(r.delta_prediction == fresh for r in reports)
 
     def test_benchmark_value_against_direction_sampling(self, benchmark_config):
         value = delta_rv_limit(benchmark_config, 1.5)

@@ -5,7 +5,7 @@ import pytest
 
 from spheretail import PointConfiguration
 
-from conftest import equicorrelated
+from conftest import equicorrelated, psi_angle_oracle, random_config, sobol_gaussians
 
 
 def random_rotation(dim, seed):
@@ -119,6 +119,52 @@ class TestLocalAngle:
             a = benchmark_config.cos_sq_local_angle(i, dirs)
             b = rotated.cos_sq_local_angle(i, dirs @ rot.T)
             assert np.allclose(a, b, atol=1e-12)
+
+
+class TestLocalAngleKernel:
+    """The one kernel behind every local angle, against explicit projection."""
+
+    @pytest.mark.parametrize("config", [
+        *(random_config(n, n_points, seed=n) for n, n_points in ((4, 3), (5, 6), (10, 8))),
+        PointConfiguration.from_points([np.eye(6)[2]]),
+    ], ids=lambda g: f"n{g.dim}N{g.n_points}")
+    def test_rule_angles_match_projected_oracle(self, config):
+        for i in range(config.n_points):
+            angles = config._rule_psi_angles(i)
+            assert angles.shape == (2**14,)
+            assert np.max(np.abs(angles - psi_angle_oracle(config, i))) <= 1e-13
+
+    def test_raw_sobol_rows_stand_for_the_rule(self):
+        config = random_config(5, 6, seed=5)
+        for i in range(config.n_points):
+            a = config.cos_sq_local_angle(i, sobol_gaussians(5))
+            b = config.cos_sq_local_angle(i, config.normal_directions(i))
+            assert np.max(np.abs(a - b)) <= 1e-13
+
+    def test_scaled_and_shifted_rows_match_the_unit_normal_row(self, benchmark_config):
+        rng = np.random.default_rng(21)
+        for i in range(benchmark_config.n_points):
+            u = benchmark_config.points[i]
+            dirs = benchmark_config.normal_directions(i)[::97]
+            a = benchmark_config.cos_sq_local_angle(i, dirs)
+            for scale in (2.0, 0.3, 7.5):
+                assert np.max(np.abs(benchmark_config.cos_sq_local_angle(i, scale * dirs) - a)) <= 1e-15
+            for shift in (0.5, -0.5, rng.uniform(-0.5, 0.5)):
+                moved = dirs + shift * u
+                assert np.max(np.abs(benchmark_config.cos_sq_local_angle(i, moved) - a)) <= 1e-15
+
+    def test_nearest_neighbor_row_in_any_form(self, benchmark_config):
+        # cos^2 theta* = (1 + rho*) / 2 toward the neighbour, however the row is given
+        u = benchmark_config.points[0]
+        v0 = benchmark_config.nearest_neighbor_direction(0)
+        a = benchmark_config.cos_sq_local_angle(0, [v0, 2.0 * v0, v0 + 0.5 * u])
+        assert np.allclose(a, 0.625, rtol=0.0, atol=1e-15)
+
+    def test_row_along_the_point_raises(self, benchmark_config):
+        u = benchmark_config.points[0]
+        for row in (u, -3.0 * u, [u, benchmark_config.nearest_neighbor_direction(0)]):
+            with pytest.raises(ValueError, match="no component normal to point 0"):
+                benchmark_config.cos_sq_local_angle(0, row)
 
 
 class TestCriticalRadius:
