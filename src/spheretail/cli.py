@@ -91,6 +91,8 @@ def _positive_int(text):
 
 def _build_grid(start, stop, step):
     start, stop, step = float(start), float(stop), float(step)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
         raise ValueError("grid step must be positive")
     if not start < stop:

@@ -22,7 +22,14 @@ of the per-point overlap corrections, each the mixture's monotone (PCHIP)
 interpolant averaged over the point's normal directions, and Delta is
 that sum divided by P_tube, never a difference of two separately computed
 probabilities.  The tail-ratio mixture D_k(theta, c) takes the same rule
-with the grid mapped onto [0, pi/2 - theta].  Averages over normal
+with the grid mapped onto [0, pi/2 - theta].  What a build shares across
+laws and thresholds is computed once per (n, k, psi_hi) into a cached,
+read-only plan: the nodes, sin^2 psi, the Beta weight, scipy's
+unequal-interval Simpson coefficients and, on [0, pi/2], the PCHIP
+weights.  A build is then one call of the law's tail, two strided Simpson
+expressions, a cumulative sum and the spline pieces, in the operation
+order of scipy's ``cumulative_simpson``, ``PchipInterpolator`` and
+``CubicHermiteSpline``, so it equals them to the bit.  Averages over normal
 directions use the fixed equal-weight rule of
 ``PointConfiguration.normal_directions``, so all results are
 deterministic.  Each direction enters at its local angle theta through
@@ -44,9 +51,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy import special as _sci_special
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .radial_laws import UnsupportedLawError, g_beta
 from .special_functions import find_root
@@ -102,23 +107,116 @@ def _beta_density(psi, p, q):
     return weight / _sci_special.beta(p, q)
 
 
-def _cumulative_mixture(law, n, k, c, psi_hi):
-    """Nodes psi on [0, psi_hi], cosine-spaced, and at each the cumulative
-    ``int_0^{sin^2 psi} tail(c^2 / y) dBeta_{k/2,(n-k)/2}(y)`` by Simpson's rule."""
+def _simpson_rule(x21, x32):
+    """scipy's unequal-interval Simpson coefficients (x21/6, coeff1, coeff2,
+    coeff3) of the piece of width x21 whose neighbour has width x32, in
+    ``cumulative_simpson``'s operation order."""
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31, -x21x21_x31x32
+
+
+class _Plan(NamedTuple):
+    """What a build on the psi grid of [0, psi_hi] shares across laws and c."""
+
+    psi: np.ndarray        # PSI_NODES cosine-spaced nodes
+    y: np.ndarray          # sin^2 psi at every node
+    weight: np.ndarray     # the Beta(k/2, (n-k)/2) density in psi
+    forward: tuple         # ``_simpson_rule`` on pieces 0, 2, 4, ... (forward rule)
+    backward: tuple        # ``_simpson_rule`` on pieces 1, 3, 5, ... (backward rule)
+    # PCHIP constants, for psi_hi = pi/2 only: piece widths h, the
+    # Fritsch-Butland weights 2h[1:] + h[:-1] and h[1:] + 2h[:-1], their sum
+    h: np.ndarray | None
+    w1: np.ndarray | None
+    w2: np.ndarray | None
+    w_sum: np.ndarray | None
+
+
+@lru_cache(maxsize=32)
+def _plan(n, k, psi_hi):
+    """The read-only ``_Plan`` of Beta(k/2, (n-k)/2) on [0, psi_hi]."""
     psi = _psi_grid(psi_hi)
-    y = np.sin(psi) ** 2
+    dx = np.diff(psi)
+    h = w1 = w2 = w_sum = None
+    if psi_hi == math.pi / 2.0:
+        h = dx
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        w_sum = w1 + w2
+    plan = _Plan(
+        psi, np.sin(psi) ** 2, _beta_density(psi, k / 2.0, (n - k) / 2.0),
+        _simpson_rule(dx[0::2], dx[1::2]), _simpson_rule(dx[1::2], dx[0::2]),
+        h, w1, w2, w_sum,
+    )
+    for field in plan:
+        for array in field if isinstance(field, tuple) else [field]:
+            if array is not None:
+                array.flags.writeable = False
+    return plan
+
+
+def _cumulative_mixture(law, plan, c):
+    """At each node psi of ``plan``, the cumulative
+    ``int_0^{sin^2 psi} tail(c^2 / y) dBeta_{k/2,(n-k)/2}(y)`` by scipy's
+    ``cumulative_simpson`` rule, to the bit: each odd piece takes the rule
+    run backward from its right end, as scipy's flip-and-interleave does."""
     # tail(c^2 / y) as y -> 0: 0, faster than any power, unless c^2 underflows
     # to 0 and the tail is tail(0) = 1 at every y
-    values = np.full(PSI_NODES, 1.0 if c * c == 0.0 else 0.0)
-    values[1:] = law.tail(c * c / y[1:])
-    integrand = _beta_density(psi, k / 2.0, (n - k) / 2.0) * values
-    return psi, _sci_integrate.cumulative_simpson(integrand, x=psi, initial=0.0)
+    values = np.empty(PSI_NODES)
+    values[0] = 1.0 if c * c == 0.0 else 0.0
+    values[1:] = law.tail(c * c / plan.y[1:])
+    f = plan.weight * values
+    f1, f2, f3 = f[:-2:2], f[1::2], f[2::2]
+    pieces = np.empty(PSI_NODES - 1)
+    a0, a1, a2, a3 = plan.forward
+    pieces[0::2] = a0 * (a1 * f1 + a2 * f2 + a3 * f3)
+    b0, b1, b2, b3 = plan.backward
+    pieces[1::2] = b0 * (b1 * f3 + b2 * f2 + b3 * f1)
+    cum = np.empty(PSI_NODES)
+    cum[0] = 0.0
+    np.cumsum(pieces, out=cum[1:])
+    return cum
 
 
-def _pieces(spline):
-    """Coefficients of a cubic spline's pieces in ascending powers of
-    psi - psi_j, flattened piece-major to match ``_profile_moments``."""
-    return spline.c[::-1].ravel()
+def _pchip_end(h0, h1, m0, m1):
+    """PCHIP's one-sided three-point slope at an end, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(plan, y):
+    """``PchipInterpolator``'s node slopes of y on the full psi grid: the
+    Fritsch-Butland (1984) weighted harmonic mean of the adjacent secants,
+    0 where they differ in sign or one is 0."""
+    h = plan.h
+    m = (y[1:] - y[:-1]) / h
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    mean = (plan.w1 / m[:-1] + plan.w2 / m[1:]) / plan.w_sum
+    slopes = np.empty(PSI_NODES)
+    slopes[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+    slopes[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    slopes[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return slopes
+
+
+def _hermite_pieces(plan, y, dydx):
+    """Coefficients of the cubic Hermite interpolant of values y and slopes
+    dydx on the full psi grid, as ``CubicHermiteSpline`` computes them, in
+    ascending powers of psi - psi_j, power-major to match ``_profile_moments``."""
+    h = plan.h
+    slope = (y[1:] - y[:-1]) / h
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
+    coef = np.empty((4, PSI_NODES - 1))
+    coef[0] = y[:-1]
+    coef[1] = dydx[:-1]
+    coef[2] = (slope - dydx[:-1]) / h - t
+    coef[3] = t / h
+    return coef.ravel()
 
 
 class _BetaMixture(NamedTuple):
@@ -126,15 +224,17 @@ class _BetaMixture(NamedTuple):
     built once per (law, n, c) by ``_mixture`` and kept as the pieces of its
     monotone (PCHIP) interpolant in psi."""
 
-    coef: np.ndarray  # piece coefficients on the full psi grid, from ``_pieces``
+    coef: np.ndarray  # piece coefficients on the full psi grid, from ``_hermite_pieces``
     total: float      # the integral over all of (0, 1]
 
 
 @lru_cache(maxsize=512)
 def _mixture(law, n, c):
-    psi, cum = _cumulative_mixture(law, n, 1, c, math.pi / 2.0)
+    plan = _plan(n, 1, math.pi / 2.0)
+    cum = _cumulative_mixture(law, plan, c)
+    # flat stretches of cum divide by zero secants; PCHIP gives them slope 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coef = _pieces(PchipInterpolator(psi, cum))
+        coef = _hermite_pieces(plan, cum, _pchip_slopes(plan, cum))
     return _BetaMixture(coef, float(cum[-1]))
 
 
@@ -173,10 +273,10 @@ def _profile_moments(config):
     norm, computed for n > 3 from the raw shared Sobol rows.  x lies in
     piece j of the psi grid, at offset s = x - psi_j.  Any cubic spline on
     that grid then averages over the directions of point i as
-    ``per_point[i] @ coef`` (coefficients from ``_pieces``), and for n > 3
+    ``per_point[i] @ coef`` (coefficients from ``_hermite_pieces``), and for n > 3
     its square sums over all directions through ``pooled``.
     """
-    psi = _psi_grid(math.pi / 2.0)
+    psi = _plan(config.dim, 1, math.pi / 2.0).psi
     pieces = PSI_NODES - 1
     n_points = config.n_points
     degree = 6 if config.dim > 3 else 3  # s^4..s^6 serve only the n > 3 se
@@ -289,12 +389,12 @@ def delta_rv_limit(config, gamma):
 @lru_cache(maxsize=256)
 def _rv_limit(config, gamma):
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
-    psi = _psi_grid(math.pi / 2.0)
-    cdf = CubicHermiteSpline(
-        psi, _sci_special.betainc(p, q, np.sin(psi) ** 2), _beta_density(psi, p, q)
+    plan = _plan(config.dim, 1, math.pi / 2.0)
+    cdf = _hermite_pieces(
+        plan, _sci_special.betainc(p, q, plan.y), _beta_density(plan.psi, p, q)
     )
     per_point = _profile_moments(config).per_point
-    mean = float(np.sum(per_point @ _pieces(cdf))) / config.n_points
+    mean = float(np.sum(per_point @ cdf)) / config.n_points
     # the cubic dips below 0 on the first piece by amounts far below any
     # nonzero average, so only an average that vanishes can come out negative
     return max(mean, 0.0)
@@ -362,7 +462,7 @@ def d_k_quadrature(law, n, k, theta, c):
         raise FloatingPointError("tail underflow at the threshold; ratio undefined")
     if theta >= math.pi / 2.0:
         return 0.0
-    _, cum = _cumulative_mixture(law, n, k, c, math.pi / 2.0 - theta)
+    cum = _cumulative_mixture(law, _plan(n, k, math.pi / 2.0 - theta), c)
     return float(cum[-1]) / denom
 
 

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 __all__ = ["PointConfiguration"]
 
@@ -303,6 +302,10 @@ def _sobol_columns(dim):
     The seed is fixed, so the sample is drawn once per dimension and shared
     by every point and configuration.
     """
+    # imported here: only n > 3 draws the sample, and scipy.stats is the largest
+    # part of the package's import time
+    from scipy.stats import qmc
+
     sobol = qmc.Sobol(d=dim, scramble=True, seed=_QMC_SEED)
     columns = np.ascontiguousarray(special.ndtri(sobol.random_base2(QMC_LOG2_POINTS)).T)
     norms_sq = np.einsum("ij,ij->j", columns, columns)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,30 @@ class TestValidationFailures:
             ["approx", "--config", str(cfg), "--out", "x.csv", "--c-grid", "3:1:0.5"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:2:nan", "1:2:inf", "nan:2:0.5", "inf:2:0.5"])
+    def test_non_finite_grid_flag(self, tmp_path, capsys, grid):
+        # once "cannot convert float infinity to integer" at exit 2, a NaN
+        # conversion message, or a RuntimeWarning and a tail-domain error
+        cfg = write_config(tmp_path / "cfg.json")
+        code = cli.run(
+            ["approx", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--c-grid", grid]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid start, stop and step must be finite, got ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("bad", [{"stop": math.inf}, {"step": math.nan}, {"start": -math.inf}])
+    def test_non_finite_grid_in_config(self, tmp_path, capsys, bad):
+        grid = {"start": 1.0, "stop": 3.0, "step": 0.5, **bad}
+        cfg = write_config(tmp_path / "cfg.json", c_grid=grid)  # JSON Infinity / NaN
+        for command in ("approx", "error"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert "grid start, stop and step must be finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from spheretail.special_functions import QuadratureError

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import cumulative_simpson, quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, ndtr
@@ -231,6 +231,107 @@ MOMENT_CONFIGS = [
 ]
 
 
+# the reproduce presets plus a light-tailed and a heavy-tailed law of higher degree
+BIT_LAWS = [
+    *(case["law"] for case in REPRODUCE_CASES.values()), ChiSquare(10.0), FDist(5.0, 3.0),
+]
+
+
+def scipy_cumulative(law, n, k, c, psi_hi):
+    """The cumulative beta-mixture on the psi grid by scipy's ``cumulative_simpson``."""
+    psi = excursion._psi_grid(psi_hi)
+    values = np.full(psi.size, 1.0 if c * c == 0.0 else 0.0)
+    values[1:] = law.tail(c * c / np.sin(psi[1:]) ** 2)
+    integrand = excursion._beta_density(psi, k / 2.0, (n - k) / 2.0) * values
+    return psi, cumulative_simpson(integrand, x=psi, initial=0.0)
+
+
+def scipy_pieces(spline):
+    """A scipy spline's coefficients in ascending powers, power-major."""
+    return spline.c[::-1].ravel()
+
+
+class CountingLaw:
+    """A radial law that counts its ``tail`` calls."""
+
+    def __init__(self, law):
+        self.law, self.calls = law, 0
+
+    def tail(self, x):
+        self.calls += 1
+        return self.law.tail(x)
+
+
+class TestScipyBitIdentity:
+    """The plan-based builds give scipy's Simpson, PCHIP and Hermite results to the bit."""
+
+    @pytest.mark.parametrize("law", BIT_LAWS, ids=lambda law: law.family)
+    def test_mixture_is_cumulative_simpson_and_pchip(self, law):
+        for n in (2, 3, 5, 10):
+            # at c = 1e-300, c^2 underflows to 0 and every tail value is 1
+            for c in (1e-300, 0.3, 1.0, 2.5, 6.0, 20.0):
+                psi, cum = scipy_cumulative(law, n, 1, c, math.pi / 2.0)
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    coef = scipy_pieces(PchipInterpolator(psi, cum))
+                mixture = excursion._mixture.__wrapped__(law, n, c)
+                assert np.array_equal(mixture.coef, coef), (n, c)
+                assert mixture.total == float(cum[-1]), (n, c)
+
+    def test_vanishing_tails_give_a_flat_cumulative(self, gauss_law):
+        # every Gaussian tail(1600 / y) is 0: a flat cumulative takes PCHIP's
+        # zero-slope branch at every node, with no RuntimeWarning (an error here)
+        mixture = excursion._mixture.__wrapped__(gauss_law, 3, 40.0)
+        psi, cum = scipy_cumulative(gauss_law, 3, 1, 40.0, math.pi / 2.0)
+        assert not cum.any()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = scipy_pieces(PchipInterpolator(psi, cum))
+        assert np.array_equal(mixture.coef, coef)
+        assert mixture.total == 0.0 and not mixture.coef.any()
+
+    @pytest.mark.parametrize("law", BIT_LAWS, ids=lambda law: law.family)
+    def test_d_k_quadrature_is_cumulative_simpson(self, law):
+        for n, theta, c in itertools.product((3, 5), (0.0, 0.3, 1.2), (0.5, 2.0, 6.0)):
+            for k in range(1, n):
+                _, cum = scipy_cumulative(law, n, k, c, math.pi / 2.0 - theta)
+                expected = float(cum[-1]) / float(law.tail(c * c))
+                assert d_k_quadrature(law, n, k, theta, c) == expected, (n, k, theta, c)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_rv_limit_is_cubic_hermite_spline(self, n):
+        config = random_config(n, 4, seed=40 + n)
+        plan = excursion._plan(n, 1, math.pi / 2.0)
+        per_point = excursion._profile_moments(config).per_point
+        for gamma in (0.5, 1.5, 5.0):
+            p, q = gamma + 0.5, (n - 1) / 2.0
+            psi = plan.psi
+            values, slopes = betainc(p, q, np.sin(psi) ** 2), excursion._beta_density(psi, p, q)
+            coef = scipy_pieces(CubicHermiteSpline(psi, values, slopes))
+            assert np.array_equal(excursion._hermite_pieces(plan, values, slopes), coef)
+            expected = max(float(np.sum(per_point @ coef)) / config.n_points, 0.0)
+            assert excursion._rv_limit.__wrapped__(config, gamma) == expected
+
+    def test_one_tail_call_per_build(self, gauss_law):
+        law = CountingLaw(gauss_law)
+        excursion._mixture.__wrapped__(law, 3, 2.0)
+        assert law.calls == 1
+        law.calls = 0
+        d_k_quadrature(law, 3, 1, 0.3, 2.0)
+        assert law.calls == 2  # the build and the divisor tail(c^2)
+
+    def test_plan_arrays_are_read_only(self):
+        full = excursion._plan(3, 1, math.pi / 2.0)
+        partial = excursion._plan(3, 2, math.pi / 2.0 - 0.3)
+        for plan in (full, partial):
+            arrays = [a for f in plan for a in (f if isinstance(f, tuple) else [f])]
+            for array in arrays:
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 1.0
+        # the PCHIP constants exist only on the full grid, where splines are built
+        assert full.h is not None and full.w_sum is not None
+        assert partial.h is partial.w1 is partial.w2 is partial.w_sum is None
+
+
 def per_node_profiles(config):
     """Local angles on the psi grid (pi/2 - theta) at every node of the
     direction rule, point by point, from the projection oracle."""
@@ -256,9 +357,10 @@ class TestDirectionMoments:
         n = config.dim
         for law in (ChiSquare(float(n)), FDist(float(n), 3.0)):
             for c in (0.5, 2.0, 5.0):
-                psi, cum = excursion._cumulative_mixture(law, n, 1, c, math.pi / 2.0)
+                plan = excursion._plan(n, 1, math.pi / 2.0)
+                cum = excursion._cumulative_mixture(law, plan, c)
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    mixture = PchipInterpolator(psi, cum)
+                    mixture = PchipInterpolator(plan.psi, cum)
                 corrections = var = 0.0
                 for x in per_node_profiles(config):
                     vals = 0.5 * mixture(x)
