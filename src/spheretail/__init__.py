@@ -4,14 +4,14 @@ probabilities, relative-error asymptotics and bounds, and a seeded Monte
 Carlo harness.
 
 Each module's ``__all__`` is the only list of its public names; the package
-re-exports them all."""
+re-exports them all, except those of the internal ``special_functions``,
+whose ``integrate`` would shadow ``scipy.integrate`` under a star-import."""
 
-from . import excursion, geometry, montecarlo, radial_laws, special_functions
+from . import excursion, geometry, montecarlo, radial_laws
 from .excursion import *
 from .geometry import *
 from .montecarlo import *
 from .radial_laws import *
-from .special_functions import *
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,5 @@ __all__ = [
     *geometry.__all__,
     *montecarlo.__all__,
     *radial_laws.__all__,
-    *special_functions.__all__,
     "__version__",
 ]

@@ -111,8 +111,6 @@ def _parse_grid(text):
 
 
 def _fmt(value):
-    if value is None:
-        return ""
     return format(value, ".17g")
 
 
@@ -354,7 +352,7 @@ def run(argv=None):
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

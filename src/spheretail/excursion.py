@@ -24,14 +24,14 @@ that sum divided by P_tube, never a difference of two separately computed
 probabilities.  The tail-ratio mixture D_k(theta, c) takes the same rule
 with the grid mapped onto [0, pi/2 - theta].  What a build shares across
 laws and thresholds is computed once per (n, k, psi_hi) into a cached,
-read-only plan: the nodes, sin^2 psi, the Beta weight, scipy's
-unequal-interval Simpson coefficients and, on [0, pi/2], the PCHIP
-weights.  A build is then one call of the law's tail, two strided Simpson
-expressions, a cumulative sum and the spline pieces, in the operation
-order of scipy's ``cumulative_simpson``, ``PchipInterpolator`` and
-``CubicHermiteSpline``, so it equals them to the bit.  Averages over normal
-directions use the fixed equal-weight rule of
-``PointConfiguration.normal_directions``, so all results are
+read-only plan, the only code that knows the grid: the nodes, sin^2 psi,
+the Beta weight, scipy's unequal-interval Simpson coefficients, the piece
+widths and the PCHIP weights.  A build is then one call of the law's
+tail, two strided Simpson expressions, a cumulative sum and the spline
+pieces, in the operation order of scipy's ``cumulative_simpson``,
+``PchipInterpolator`` and ``CubicHermiteSpline``, so it equals them to
+the bit.  Averages over normal directions use the fixed equal-weight
+rule of ``PointConfiguration.normal_directions``, so all results are
 deterministic.  Each direction enters at its local angle theta through
 the psi-grid coordinate pi/2 - theta, an arctan2 that the geometry's one
 local-angle kernel returns; for n > 3 the kernel reads the shared Sobol
@@ -80,27 +80,6 @@ PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mi
 # beta-mixture integrals
 # ----------------------------------------------------------------------
 
-def _psi_grid(psi_hi):
-    """``PSI_NODES`` cosine-spaced nodes on [0, psi_hi], dense at both ends."""
-    return psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
-
-
-def _psi_piece(psi, x):
-    """Index j of the piece [psi_j, psi_{j+1}) of the full grid ``psi`` that
-    holds each x in [0, pi/2]; the last piece also holds pi/2.
-
-    Inverts the cosine spacing of ``_psi_grid``, then moves the estimate by
-    at most one piece either way against the nodes themselves, so the result
-    is exact; a binary search is several times slower on unsorted x.
-    """
-    last = PSI_NODES - 2
-    estimate = np.arccos(1.0 - x * (4.0 / math.pi)) * ((PSI_NODES - 1) / math.pi)
-    j = np.minimum(estimate.astype(np.intp), last)
-    j -= psi[j] > x
-    j += psi[j + 1] <= x
-    return np.minimum(j, last)
-
-
 def _beta_density(psi, p, q):
     """Beta(p, q) density transported to y = sin^2(psi), singularities absorbed."""
     weight = 2.0 * np.sin(psi) ** (2.0 * p - 1.0) * np.cos(psi) ** (2.0 * q - 1.0)
@@ -119,40 +98,53 @@ def _simpson_rule(x21, x32):
 class _Plan(NamedTuple):
     """What a build on the psi grid of [0, psi_hi] shares across laws and c."""
 
-    psi: np.ndarray        # PSI_NODES cosine-spaced nodes
+    psi: np.ndarray        # cosine-spaced nodes, dense at both ends
     y: np.ndarray          # sin^2 psi at every node
     weight: np.ndarray     # the Beta(k/2, (n-k)/2) density in psi
     forward: tuple         # ``_simpson_rule`` on pieces 0, 2, 4, ... (forward rule)
     backward: tuple        # ``_simpson_rule`` on pieces 1, 3, 5, ... (backward rule)
-    # PCHIP constants, for psi_hi = pi/2 only: piece widths h, the
-    # Fritsch-Butland weights 2h[1:] + h[:-1] and h[1:] + 2h[:-1], their sum
-    h: np.ndarray | None
-    w1: np.ndarray | None
-    w2: np.ndarray | None
-    w_sum: np.ndarray | None
+    h: np.ndarray          # piece widths
+    # PCHIP's Fritsch-Butland weights 2h[1:] + h[:-1] and h[1:] + 2h[:-1], their sum
+    w1: np.ndarray
+    w2: np.ndarray
+    w_sum: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def _plan(n, k, psi_hi):
-    """The read-only ``_Plan`` of Beta(k/2, (n-k)/2) on [0, psi_hi]."""
-    psi = _psi_grid(psi_hi)
-    dx = np.diff(psi)
-    h = w1 = w2 = w_sum = None
-    if psi_hi == math.pi / 2.0:
-        h = dx
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        w_sum = w1 + w2
+    """The read-only ``_Plan`` of Beta(k/2, (n-k)/2) on ``PSI_NODES``
+    cosine-spaced nodes of [0, psi_hi], dense at both ends."""
+    psi = psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
+    h = np.diff(psi)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
     plan = _Plan(
         psi, np.sin(psi) ** 2, _beta_density(psi, k / 2.0, (n - k) / 2.0),
-        _simpson_rule(dx[0::2], dx[1::2]), _simpson_rule(dx[1::2], dx[0::2]),
-        h, w1, w2, w_sum,
+        _simpson_rule(h[0::2], h[1::2]), _simpson_rule(h[1::2], h[0::2]),
+        h, w1, w2, w1 + w2,
     )
     for field in plan:
         for array in field if isinstance(field, tuple) else [field]:
-            if array is not None:
-                array.flags.writeable = False
+            array.flags.writeable = False
     return plan
+
+
+def _psi_piece(plan, x):
+    """Index j of the piece [psi_j, psi_{j+1}) of ``plan``'s grid that holds
+    each x in [0, psi_hi]; the last piece also holds psi_hi.
+
+    Inverts the cosine map of ``_plan`` with the plan's own end node and node
+    count, then moves the estimate by at most one piece either way against
+    the nodes themselves, so the result is exact; a binary search is several
+    times slower on unsorted x.
+    """
+    psi = plan.psi
+    last = psi.size - 2
+    estimate = np.arccos(1.0 - x * (2.0 / psi[-1])) * ((psi.size - 1) / math.pi)
+    j = np.minimum(estimate.astype(np.intp), last)
+    j -= psi[j] > x
+    j += psi[j + 1] <= x
+    return np.minimum(j, last)
 
 
 def _cumulative_mixture(law, plan, c):
@@ -162,17 +154,17 @@ def _cumulative_mixture(law, plan, c):
     run backward from its right end, as scipy's flip-and-interleave does."""
     # tail(c^2 / y) as y -> 0: 0, faster than any power, unless c^2 underflows
     # to 0 and the tail is tail(0) = 1 at every y
-    values = np.empty(PSI_NODES)
+    values = np.empty_like(plan.y)
     values[0] = 1.0 if c * c == 0.0 else 0.0
     values[1:] = law.tail(c * c / plan.y[1:])
     f = plan.weight * values
     f1, f2, f3 = f[:-2:2], f[1::2], f[2::2]
-    pieces = np.empty(PSI_NODES - 1)
+    pieces = np.empty_like(plan.h)
     a0, a1, a2, a3 = plan.forward
     pieces[0::2] = a0 * (a1 * f1 + a2 * f2 + a3 * f3)
     b0, b1, b2, b3 = plan.backward
     pieces[1::2] = b0 * (b1 * f3 + b2 * f2 + b3 * f1)
-    cum = np.empty(PSI_NODES)
+    cum = np.empty_like(plan.y)
     cum[0] = 0.0
     np.cumsum(pieces, out=cum[1:])
     return cum
@@ -189,7 +181,7 @@ def _pchip_end(h0, h1, m0, m1):
 
 
 def _pchip_slopes(plan, y):
-    """``PchipInterpolator``'s node slopes of y on the full psi grid: the
+    """``PchipInterpolator``'s node slopes of y on the grid of ``plan``: the
     Fritsch-Butland (1984) weighted harmonic mean of the adjacent secants,
     0 where they differ in sign or one is 0."""
     h = plan.h
@@ -197,7 +189,7 @@ def _pchip_slopes(plan, y):
     sign = np.sign(m)
     flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     mean = (plan.w1 / m[:-1] + plan.w2 / m[1:]) / plan.w_sum
-    slopes = np.empty(PSI_NODES)
+    slopes = np.empty_like(plan.psi)
     slopes[1:-1] = np.where(flat, 0.0, 1.0 / mean)
     slopes[0] = _pchip_end(h[0], h[1], m[0], m[1])
     slopes[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
@@ -206,12 +198,12 @@ def _pchip_slopes(plan, y):
 
 def _hermite_pieces(plan, y, dydx):
     """Coefficients of the cubic Hermite interpolant of values y and slopes
-    dydx on the full psi grid, as ``CubicHermiteSpline`` computes them, in
+    dydx on the grid of ``plan``, as ``CubicHermiteSpline`` computes them, in
     ascending powers of psi - psi_j, power-major to match ``_profile_moments``."""
     h = plan.h
     slope = (y[1:] - y[:-1]) / h
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / h
-    coef = np.empty((4, PSI_NODES - 1))
+    coef = np.empty((4, h.size))
     coef[0] = y[:-1]
     coef[1] = dydx[:-1]
     coef[2] = (slope - dydx[:-1]) / h - t
@@ -228,7 +220,7 @@ class _BetaMixture(NamedTuple):
     total: float      # the integral over all of (0, 1]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _mixture(law, n, c):
     plan = _plan(n, 1, math.pi / 2.0)
     cum = _cumulative_mixture(law, plan, c)
@@ -276,16 +268,16 @@ def _profile_moments(config):
     ``per_point[i] @ coef`` (coefficients from ``_hermite_pieces``), and for n > 3
     its square sums over all directions through ``pooled``.
     """
-    psi = _plan(config.dim, 1, math.pi / 2.0).psi
-    pieces = PSI_NODES - 1
+    plan = _plan(config.dim, 1, math.pi / 2.0)
+    pieces = plan.h.size
     n_points = config.n_points
     degree = 6 if config.dim > 3 else 3  # s^4..s^6 serve only the n > 3 se
     per_point = np.empty((n_points, 4, pieces))
     pooled = np.zeros((degree + 1, pieces))
     for i in range(n_points):
         x = config._rule_psi_angles(i)
-        j = _psi_piece(psi, x)
-        s = x - psi[j]
+        j = _psi_piece(plan, x)
+        s = x - plan.psi[j]
         power = np.ones_like(s)
         for k in range(degree + 1):
             sums = np.bincount(j, weights=power, minlength=pieces)
@@ -453,15 +445,16 @@ def d_k_quadrature(law, n, k, theta, c):
 
     Computes ``int_0^{cos^2 theta} [tail(c^2/y) / tail(c^2)] dBeta_{k/2,(n-k)/2}``,
     the exact finite-threshold counterpart of the asymptotic branches, with
-    the grid mapped onto psi in [0, pi/2 - theta]; 0 for theta >= pi/2.
-    Raises ``FloatingPointError`` when tail(c^2) underflows to 0.
+    the grid mapped onto psi in [0, pi/2 - theta]; +0.0 for theta >= pi/2,
+    where the range is empty.  Raises ``FloatingPointError`` when tail(c^2)
+    underflows to 0 at theta < pi/2.
     """
     _check_d_k_args(n, k, theta, c)
+    if theta >= math.pi / 2.0:
+        return 0.0
     denom = float(law.tail(c * c))
     if denom <= 0.0:
         raise FloatingPointError("tail underflow at the threshold; ratio undefined")
-    if theta >= math.pi / 2.0:
-        return 0.0
     cum = _cumulative_mixture(law, _plan(n, k, math.pi / 2.0 - theta), c)
     return float(cum[-1]) / denom
 
@@ -482,9 +475,12 @@ def d_k_asymptotic(law, n, k, theta, c):
     Regularly varying laws give a c-free beta probability; otherwise the
     Laplace-type expansion applies, with the boundary case theta = 0
     handled by its own power-of-b formula.  Thresholds are first rescaled
-    by 1/sqrt(scale) so the base-family closed forms apply.
+    by 1/sqrt(scale) so the base-family closed forms apply.  +0.0 for
+    theta >= pi/2, where the range is empty.
     """
     _check_d_k_args(n, k, theta, c)
+    if theta >= math.pi / 2.0:
+        return 0.0
     desc = law.class_descriptor()
     p, q = k / 2.0, (n - k) / 2.0
     cos_sq = math.cos(theta) ** 2
@@ -497,8 +493,6 @@ def d_k_asymptotic(law, n, k, theta, c):
     c_adj, b = _laplace_rate(law, desc, c)
     if theta == 0.0:
         return math.gamma(q) / (_sci_special.beta(p, q) * b**q)
-    if cos_sq <= 0.0:
-        return 0.0
     return (
         math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)

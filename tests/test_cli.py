@@ -182,6 +182,20 @@ class TestSubcommands:
         _, rows = read_csv(out)
         assert [float(r[0]) for r in rows] == [1.0, 1.25, 1.5, 1.75, 2.0]
 
+    def test_config_defaults(self, tmp_path):
+        # no c_grid, trials or seed: the grid 1:8:0.5, 10000 trials, seed 0
+        raw = json.loads(write_config(tmp_path / "full.json").read_text())
+        for key in ("c_grid", "trials", "seed"):
+            del raw[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "sim.csv"
+        assert cli.run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 15
+        assert [float(r[0]) for r in rows] == [1.0 + 0.5 * i for i in range(15)]
+        assert all(r[3] == "10000" and r[4] == "0" for r in rows)
+
     def test_points_configuration_source(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -219,6 +233,12 @@ class TestValidationFailures:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.run(["approx", "--config", str(tmp_path / "none.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_json_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"law": {"family": "chi_square", "nu": 3.0},')
+        assert cli.run(["approx", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")

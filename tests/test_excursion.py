@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ class TestMarginalTail:
             assert marginal_tail(t_law, 3, c) == pytest.approx(
                 student_t_tail(math.sqrt(3.0) * c, 3.0), abs=1e-9
             )
+
+    def test_dimension_below_two_is_refused(self, gauss_law):
+        with pytest.raises(ValueError, match="ambient dimension must be at least 2"):
+            marginal_tail(gauss_law, 1, 2.0)
+
+    def test_mixture_cache_stays_small(self):
+        # each cached mixture holds 4 x 4096 coefficients (128 KiB); a process
+        # that evaluates many distinct thresholds keeps at most 64 of them
+        law = ChiSquare(3.0)
+        excursion._mixture.cache_clear()
+        tracemalloc.start()
+        try:
+            for c in np.linspace(1.0, 8.0, 600):
+                marginal_tail(law, 3, float(c))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            excursion._mixture.cache_clear()
+        assert held < 10 * 2**20
 
     def test_f_radial_dimension_two(self):
         law = FDist(2.0, 3.0)
@@ -239,7 +259,7 @@ BIT_LAWS = [
 
 def scipy_cumulative(law, n, k, c, psi_hi):
     """The cumulative beta-mixture on the psi grid by scipy's ``cumulative_simpson``."""
-    psi = excursion._psi_grid(psi_hi)
+    psi = excursion._plan(n, k, psi_hi).psi
     values = np.full(psi.size, 1.0 if c * c == 0.0 else 0.0)
     values[1:] = law.tail(c * c / np.sin(psi[1:]) ** 2)
     integrand = excursion._beta_density(psi, k / 2.0, (n - k) / 2.0) * values
@@ -322,14 +342,19 @@ class TestScipyBitIdentity:
         full = excursion._plan(3, 1, math.pi / 2.0)
         partial = excursion._plan(3, 2, math.pi / 2.0 - 0.3)
         for plan in (full, partial):
+            # every plan has every field: D_k's partial grids carry the PCHIP
+            # constants too
             arrays = [a for f in plan for a in (f if isinstance(f, tuple) else [f])]
+            assert len(arrays) == 15
             for array in arrays:
-                if array is not None:
-                    with pytest.raises(ValueError, match="read-only"):
-                        array[0] = 1.0
-        # the PCHIP constants exist only on the full grid, where splines are built
-        assert full.h is not None and full.w_sum is not None
-        assert partial.h is partial.w1 is partial.w2 is partial.w_sum is None
+                assert isinstance(array, np.ndarray) and array.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+            assert plan.psi.size == excursion.PSI_NODES
+            assert np.array_equal(plan.h, np.diff(plan.psi))
+            assert np.array_equal(plan.w_sum, plan.w1 + plan.w2)
+        assert full.psi[0] == 0.0 and full.psi[-1] == math.pi / 2.0
+        assert partial.psi[0] == 0.0 and partial.psi[-1] == math.pi / 2.0 - 0.3
 
 
 def per_node_profiles(config):
@@ -342,15 +367,19 @@ class TestDirectionMoments:
     """The moment form of the direction averages against node-by-node evaluation."""
 
     def test_piece_index_matches_binary_search(self):
-        psi = excursion._psi_grid(math.pi / 2.0)
-        rng = np.random.default_rng(5)
-        x = np.concatenate([
-            psi, np.nextafter(psi[1:], 0.0), np.nextafter(psi[:-1], 2.0),
-            rng.uniform(0.0, math.pi / 2.0, 10**5),
-            np.arcsin(np.sqrt(rng.uniform(0.0, 1e-12, 10**4))), [5e-324, 1e-300],
-        ])
-        expected = np.clip(np.searchsorted(psi, x, side="right") - 1, 0, psi.size - 2)
-        assert np.array_equal(excursion._psi_piece(psi, x), expected)
+        # the inverse reads the plan's own end node, so partial grids invert too
+        for psi_hi in (math.pi / 2.0, math.pi / 2.0 - 0.3, 0.05):
+            plan = excursion._plan(3, 1, psi_hi)
+            psi = plan.psi
+            rng = np.random.default_rng(5)
+            x = np.concatenate([
+                psi, np.nextafter(psi[1:], 0.0), np.nextafter(psi[:-1], 2.0),
+                rng.uniform(0.0, psi_hi, 10**5),
+                np.arcsin(np.sqrt(rng.uniform(0.0, 1e-12, 10**4))), [5e-324, 1e-300],
+            ])
+            x = x[x <= psi_hi]
+            expected = np.clip(np.searchsorted(psi, x, side="right") - 1, 0, psi.size - 2)
+            assert np.array_equal(excursion._psi_piece(plan, x), expected), psi_hi
 
     @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
     def test_corrections_and_se_match_per_node_pchip(self, config):
@@ -446,6 +475,10 @@ class TestDeltaBar:
     def test_benchmark_value_exact(self, benchmark_config):
         assert delta_bar(benchmark_config, 1.5) == 0.390625
 
+    def test_infinite_index_is_refused(self, benchmark_config):
+        with pytest.raises(UnsupportedLawError, match="finite positive index"):
+            delta_bar(benchmark_config, math.inf)
+
     def test_right_angle_vanishes(self):
         antipodal = PointConfiguration.from_points([[1.0, 0.0], [-1.0, 0.0]])
         assert delta_bar(antipodal, 1.5) == 0.0
@@ -478,6 +511,19 @@ class TestMixtureRatio:
         assert d_k_quadrature(gauss_law, 3, 1, math.pi / 2.0, 4.0) == pytest.approx(
             0.0, abs=1e-14
         )
+
+    @pytest.mark.parametrize("case", sorted(REPRODUCE_CASES))
+    def test_right_angle_is_positive_zero_on_both_branches(self, case):
+        # the integral runs over an empty range: +0.0 exactly, even where the
+        # Gaussian tail(c^2) underflows
+        law = REPRODUCE_CASES[case]["law"]
+        for theta in (math.pi / 2.0, math.pi / 2.0 + 1e-12):
+            for n, k, c in ((3, 1, 3.0), (5, 1, 3.0), (5, 3, 3.0), (3, 1, 40.0)):
+                for d_k in (d_k_quadrature, d_k_asymptotic):
+                    value = d_k(law, n, k, theta, c)
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0, (
+                        d_k.__name__, theta, n, k, c
+                    )
 
     def test_full_range_is_tail_ratio(self, gauss_law):
         # for a chi-square radial the k = 1 block is the one-degree tail
@@ -886,6 +932,16 @@ class TestReports:
         assert report.delta_prediction == pytest.approx(
             math.exp(log_delta_asymptotic(benchmark_config, gauss_law, 4.0)), rel=1e-12
         )
+
+    def test_prediction_below_the_expansion_range_is_flagged(self, benchmark_config):
+        # log c^2 < 0 at c = 0.9: the log-normal Laplace rate is negative
+        law = LogNormal()
+        with pytest.raises(ValueError, match="threshold too small for the asymptotic expansion"):
+            log_delta_asymptotic(benchmark_config, law, 0.9)
+        report = build_report(benchmark_config, law, 0.9)
+        assert report.flags == "pred_unavailable"
+        assert math.isnan(report.delta_prediction)
+        assert report.delta_exact == delta_exact(benchmark_config, law, 0.9)
 
     def test_capping_at_small_threshold(self, benchmark_config, t_law):
         report = build_report(benchmark_config, t_law, 1e-6)

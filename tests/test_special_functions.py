@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.special import betaln
 
-from spheretail import QuadratureError, find_root, integrate
+from spheretail.special_functions import QuadratureError, find_root, integrate
 
 
 class TestIntegrate:
