@@ -49,16 +49,23 @@ class ExperimentConfig:
         else:
             with open(args.config, encoding="utf-8") as handle:
                 raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {raw!r}")
         has_points = "points" in raw
         has_corr = "correlation" in raw
         if has_points == has_corr:
             raise ValueError(
                 "config must contain exactly one of 'points' or 'correlation'"
             )
+        source = "points" if has_points else "correlation"
+        try:
+            array = np.asarray(raw[source], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{source!r} must be a rectangular array of numbers") from None
         if has_points:
-            configuration = PointConfiguration.from_points(raw["points"])
+            configuration = PointConfiguration.from_points(array)
         else:
-            configuration = PointConfiguration.from_correlation(raw["correlation"])
+            configuration = PointConfiguration.from_correlation(array)
         if "law" not in raw:
             raise ValueError("config must contain a 'law' object")
         law = law_from_dict(raw["law"])
@@ -68,6 +75,10 @@ class ExperimentConfig:
         elif args.c_grid:
             grid = _parse_grid(args.c_grid)
         elif grid_spec is not None:
+            if not isinstance(grid_spec, dict) or not {"start", "stop", "step"} <= grid_spec.keys():
+                raise ValueError(
+                    f"c_grid must be an object with 'start', 'stop' and 'step', got {grid_spec!r}"
+                )
             grid = _build_grid(grid_spec["start"], grid_spec["stop"], grid_spec["step"])
         else:
             grid = _build_grid(1.0, 8.0, 0.5)
@@ -78,6 +89,9 @@ class ExperimentConfig:
         if seed is None:
             seed = raw.get("seed", 0)  # checked by _run_simulate, its one reader
         output = args.out or raw.get("output")
+        if output is not None and not isinstance(output, str):
+            # open() would take an integer for a file descriptor
+            raise ValueError(f"output must be a file path, got {output!r}")
         return cls(configuration, law, grid, trials, seed, output)
 
 
@@ -90,7 +104,12 @@ def _positive_int(text):
 
 
 def _build_grid(start, stop, step):
-    start, stop, step = float(start), float(stop), float(step)
+    try:
+        start, stop, step = float(start), float(stop), float(step)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"grid start, stop and step must be numbers, got {start!r}:{stop!r}:{step!r}"
+        ) from None
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:

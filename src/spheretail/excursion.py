@@ -25,22 +25,23 @@ probabilities.  The tail-ratio mixture D_k(theta, c) takes the same rule
 with the grid mapped onto [0, pi/2 - theta].  What a build shares across
 laws and thresholds is computed once per (n, k, psi_hi) into a cached,
 read-only plan, the only code that knows the grid: the nodes, sin^2 psi,
-the Beta weight, scipy's unequal-interval Simpson coefficients, the piece
-widths and the PCHIP weights.  A build is then one call of the law's
-tail, two strided Simpson expressions, a cumulative sum and the spline
-pieces, in the operation order of scipy's ``cumulative_simpson``,
-``PchipInterpolator`` and ``CubicHermiteSpline``, so it equals them to
-the bit.  Averages over normal directions use the fixed equal-weight
-rule of ``PointConfiguration.normal_directions``, so all results are
+the Beta weight, scipy's unequal-interval Simpson coefficients and the
+piece widths.  A build is then one call of the law's tail, two strided
+Simpson expressions, a cumulative sum and the spline pieces, in the
+operation order of scipy's ``cumulative_simpson``, ``PchipInterpolator``
+and ``CubicHermiteSpline``, so it equals them to the bit.  Averages over
+normal directions use the fixed equal-weight rule of
+``PointConfiguration.normal_directions``, so all results are
 deterministic.  Each direction enters at its local angle theta through
 the psi-grid coordinate pi/2 - theta, an arctan2 that the geometry's one
 local-angle kernel returns; for n > 3 the kernel reads the shared Sobol
 rows unprojected.  The averages are linear in the interpolant's cubic
 pieces: power moments of the directions' offsets within each piece are
-accumulated once per configuration, and every average is then one dot
-product with the piece coefficients.  Thresholds are solved on log P(c) by
-steps steered by the radial law's scalar tail, so that a solve builds few
-mixtures.
+accumulated once per configuration (and kept for the last four
+configurations; at n = 10, N = 1000 one set holds 131 MB), and every
+average is then one dot product with the piece coefficients.  Thresholds
+are solved on log P(c) by steps steered by the radial law's scalar tail,
+so that a solve builds few mixtures.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -104,10 +105,6 @@ class _Plan(NamedTuple):
     forward: tuple         # ``_simpson_rule`` on pieces 0, 2, 4, ... (forward rule)
     backward: tuple        # ``_simpson_rule`` on pieces 1, 3, 5, ... (backward rule)
     h: np.ndarray          # piece widths
-    # PCHIP's Fritsch-Butland weights 2h[1:] + h[:-1] and h[1:] + 2h[:-1], their sum
-    w1: np.ndarray
-    w2: np.ndarray
-    w_sum: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -116,12 +113,9 @@ def _plan(n, k, psi_hi):
     cosine-spaced nodes of [0, psi_hi], dense at both ends."""
     psi = psi_hi / 2.0 * (1.0 - np.cos(np.linspace(0.0, math.pi, PSI_NODES)))
     h = np.diff(psi)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
     plan = _Plan(
         psi, np.sin(psi) ** 2, _beta_density(psi, k / 2.0, (n - k) / 2.0),
-        _simpson_rule(h[0::2], h[1::2]), _simpson_rule(h[1::2], h[0::2]),
-        h, w1, w2, w1 + w2,
+        _simpson_rule(h[0::2], h[1::2]), _simpson_rule(h[1::2], h[0::2]), h,
     )
     for field in plan:
         for array in field if isinstance(field, tuple) else [field]:
@@ -188,7 +182,9 @@ def _pchip_slopes(plan, y):
     m = (y[1:] - y[:-1]) / h
     sign = np.sign(m)
     flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    mean = (plan.w1 / m[:-1] + plan.w2 / m[1:]) / plan.w_sum
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
     slopes = np.empty_like(plan.psi)
     slopes[1:-1] = np.where(flat, 0.0, 1.0 / mean)
     slopes[0] = _pchip_end(h[0], h[1], m[0], m[1])
@@ -255,7 +251,7 @@ class _ProfileMoments(NamedTuple):
     size: int              # directions per point
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _profile_moments(config):
     """Power moments of the local angles over ``config.normal_directions``.
 
@@ -332,11 +328,16 @@ def _tube_and_corrections(config, law, c):
     return tube, corrections, math.sqrt(var)
 
 
-def _relative_error(tube, corrections, c):
+def _check_tube(tube, c):
+    """Refuse a P_tube that underflows to 0, where the relative error is undefined."""
     if tube <= 0.0:
         raise FloatingPointError(
             f"P_tube underflows to 0 at c={c:.6g}; the relative error is undefined"
         )
+
+
+def _relative_error(tube, corrections, c):
+    _check_tube(tube, c)
     return corrections / tube
 
 
@@ -378,7 +379,7 @@ def delta_rv_limit(config, gamma):
     return _rv_limit(config, gamma)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4)
 def _rv_limit(config, gamma):
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
     plan = _plan(config.dim, 1, math.pi / 2.0)

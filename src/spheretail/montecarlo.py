@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursion import p_tube
+from .excursion import _check_tube, p_tube
 
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
@@ -155,9 +155,11 @@ def estimate_delta(config, law, c, trials, seed):
     Returns ``(estimate, standard_error)`` where the estimate is
     ``(P_tube - p_hat) / P_tube`` with the analytic raw Bonferroni sum.
     Warns when the expected exceedance count ``P_tube * trials`` is below
-    100, where the estimate is noise-dominated.
+    100, where the estimate is noise-dominated.  Raises
+    ``FloatingPointError``, before simulating, when P_tube underflows to 0.
     """
     tube = p_tube(config, law, c)
+    _check_tube(tube, c)
     if tube * trials < 100.0:
         warnings.warn(
             f"expected exceedance count {tube * trials:.1f} below 100; "

@@ -315,8 +315,9 @@ class Bessel(RadialLaw):
     The bulk of chi-square(nu) is where ``t f_nu(t)`` is within
     ``exp(-depth)`` of its peak.  Below ``x = 1e-24``, when ``a`` is at most
     2, the window is too wide for the fixed rule (relative error 1.6e-4 at
-    ``nu = (0.2, 1.5)`` and 1.5e-5 at ``(0.5, 0.5)``); no caller in this
-    package evaluates the tail there.
+    ``nu = (0.2, 1.5)`` and 1.5e-5 at ``(0.5, 0.5)``).  ``p_tube`` and
+    ``p_exact`` reach that range at thresholds c <= 1e-12, whose mixtures
+    evaluate tail(c^2 / y) from x = c^2 up.
     """
 
     nu1: float
@@ -420,13 +421,18 @@ def law_from_dict(spec):
         family = spec["family"]
     except (KeyError, TypeError):
         raise ValueError("law description must be a mapping with a 'family' key")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown law family {family!r}; expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
     kwargs = {}
     for param in fields(cls):
         if param.name in spec:
-            kwargs[param.name] = float(spec[param.name])
+            try:
+                kwargs[param.name] = float(spec[param.name])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"law parameter {param.name!r} must be a number, got {spec[param.name]!r}"
+                ) from None
         elif param.default is MISSING:
             raise ValueError(f"law family {family!r} requires parameter {param.name!r}")
     return cls(**kwargs)

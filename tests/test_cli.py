@@ -14,7 +14,10 @@ from spheretail.geometry import PointConfiguration
 from spheretail.radial_laws import ChiSquare
 
 
-def write_config(path, **overrides):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def base_config(**overrides):
     base = {
         "correlation": [
             [1.0, 0.25, 0.25],
@@ -27,7 +30,11 @@ def write_config(path, **overrides):
         "seed": 11,
     }
     base.update(overrides)
-    path.write_text(json.dumps(base))
+    return base
+
+
+def write_config(path, **overrides):
+    path.write_text(json.dumps(base_config(**overrides)))
     return path
 
 
@@ -131,6 +138,15 @@ class TestSubcommands:
         out = str(tmp_path / "sim.csv")
         assert cli.run(["simulate", "--config", str(cfg), "--out", out]) == 1
         assert f"trials must be {message}" in capsys.readouterr().err
+
+    def test_integral_float_trials_are_accepted(self, tmp_path):
+        # JSON readers may write 500 as 500.0; the count is the same
+        paths = [tmp_path / "float.csv", tmp_path / "int.csv"]
+        for trials, out in zip((500.0, 500), paths):
+            cfg = write_config(tmp_path / "cfg.json", trials=trials)
+            assert cli.run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert read_csv(paths[0])[1][0][3] == "500"
 
     @pytest.mark.parametrize("seed", [None, "eleven", 7.5, True, "12", float("inf")])
     def test_config_seed_is_checked_by_simulate_only(self, tmp_path, capsys, seed):
@@ -240,12 +256,62 @@ class TestValidationFailures:
         assert cli.run(["approx", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_grid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json")
-        code = cli.run(
-            ["approx", "--config", str(cfg), "--out", "x.csv", "--c-grid", "3:1:0.5"]
-        )
+    @pytest.mark.parametrize("raw, message", [
+        (5, "config must be a JSON object, got 5"),
+        (None, "config must be a JSON object, got None"),
+        ({key: value for key, value in base_config().items() if key != "law"},
+         "config must contain a 'law' object"),
+        ({"points": {"a": 1}, "law": {"family": "chi_square", "nu": 3.0}},
+         "'points' must be a rectangular array of numbers"),
+        (base_config(c_grid=[1, 2, 3]), "c_grid must be an object with 'start', 'stop' and 'step'"),
+        (base_config(c_grid="1:2:1"), "c_grid must be an object with 'start', 'stop' and 'step'"),
+        (base_config(c_grid={"start": 1.0, "stop": 3.0}),
+         "c_grid must be an object with 'start', 'stop' and 'step'"),
+        (base_config(c_grid={"start": None, "stop": 3.0, "step": 0.5}),
+         "grid start, stop and step must be numbers, got None:3.0:0.5"),
+        (base_config(law={"family": "chi_square", "nu": None}),
+         "law parameter 'nu' must be a number, got None"),
+        (base_config(law={"family": ["x"]}), "unknown law family ['x']"),
+        (base_config(output=1), "output must be a file path, got 1"),
+        (base_config(output=5), "output must be a file path, got 5"),
+    ])
+    def test_malformed_config_types(self, tmp_path, monkeypatch, capsys, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["approx", "--config", str(cfg)]
+        monkeypatch.chdir(tmp_path)
+        if isinstance(raw, dict) and "output" in raw:
+            # an integer output once went to open() as a file descriptor and
+            # closed the running process's stdout, so it runs in its own
+            proc = subprocess.run(
+                [sys.executable, "-m", "spheretail", *argv],
+                env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                timeout=120,
+            )
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            code = cli.run(argv)
+            out, err = capsys.readouterr()
         assert code == 1
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("3:1:0.5", "grid start must be below stop"),
+        ("1:2:0", "grid step must be positive"),
+        ("1:2:-0.5", "grid step must be positive"),
+        ("0:2:0.5", "grid thresholds must be positive"),
+        ("-1:2:0.5", "grid thresholds must be positive"),
+        ("1:2", "--c-grid expects START:STOP:STEP"),
+        ("1:2:0.5:1", "--c-grid expects START:STOP:STEP"),
+        ("1:2:x", "grid start, stop and step must be numbers, got '1':'2':'x'"),
+    ])
+    def test_bad_grid(self, tmp_path, capsys, grid, message):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "x.csv"
+        assert cli.run(["approx", "--config", str(cfg), "--out", str(out), f"--c-grid={grid}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["1:inf:1", "1:2:nan", "1:2:inf", "nan:2:0.5", "inf:2:0.5"])
     def test_non_finite_grid_flag(self, tmp_path, capsys, grid):
@@ -272,10 +338,8 @@ class TestValidationFailures:
             assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        from spheretail.special_functions import QuadratureError
-
         def explode(*args, **kwargs):
-            raise QuadratureError("tolerance not reached", estimate=0.1, error_bound=0.2)
+            raise FloatingPointError("tolerance not reached (estimate 0.1, error bound 0.2)")
 
         monkeypatch.setattr(cli.excursion, "p_tube", explode)
         cfg = write_config(tmp_path / "cfg.json")
@@ -309,8 +373,6 @@ class TestValidationFailures:
 
 
 class TestModuleEntryPoints:
-    SRC = str(Path(__file__).resolve().parents[1] / "src")
-
     @pytest.mark.parametrize("module", ["spheretail", "spheretail.cli"])
     def test_python_dash_m_writes_the_run_csv(self, tmp_path, module):
         cfg = write_config(
@@ -319,7 +381,7 @@ class TestModuleEntryPoints:
         expected = tmp_path / "run.csv"
         assert cli.run(["approx", "--config", str(cfg), "--out", str(expected)]) == 0
         out = tmp_path / "module.csv"
-        env = dict(os.environ, PYTHONPATH=self.SRC)
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-m", module, "approx", "--config", str(cfg),
              "--out", str(out)],

@@ -342,17 +342,16 @@ class TestScipyBitIdentity:
         full = excursion._plan(3, 1, math.pi / 2.0)
         partial = excursion._plan(3, 2, math.pi / 2.0 - 0.3)
         for plan in (full, partial):
-            # every plan has every field: D_k's partial grids carry the PCHIP
-            # constants too
+            # every plan has every field: D_k's partial grids carry the Simpson
+            # coefficients too
             arrays = [a for f in plan for a in (f if isinstance(f, tuple) else [f])]
-            assert len(arrays) == 15
+            assert len(arrays) == 12
             for array in arrays:
                 assert isinstance(array, np.ndarray) and array.dtype == np.float64
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
             assert plan.psi.size == excursion.PSI_NODES
             assert np.array_equal(plan.h, np.diff(plan.psi))
-            assert np.array_equal(plan.w_sum, plan.w1 + plan.w2)
         assert full.psi[0] == 0.0 and full.psi[-1] == math.pi / 2.0
         assert partial.psi[0] == 0.0 and partial.psi[-1] == math.pi / 2.0 - 0.3
 
@@ -412,6 +411,25 @@ class TestDirectionMoments:
                 [betainc(p, q, np.sin(x) ** 2).mean() for x in per_node_profiles(config)]
             )
             assert delta_rv_limit(config, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_direction_moment_caches_stay_small(self):
+        # one configuration's direction moments at (n, N) = (10, 50) hold
+        # 6.5 MB; a process that evaluates many index sets keeps the last four
+        caches = (excursion._profile_moments, excursion._rv_limit)
+        for cache in caches:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            for seed in range(12):
+                config = random_config(10, 50, seed=200 + seed)
+                delta_exact(config, ChiSquare(10.0), 3.0)
+                build_report(config, FDist(10.0, 3.0), 3.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            for cache in caches:
+                cache.cache_clear()
+        assert held < 60 * 2**20
 
     def test_rv_limit_is_not_negative_where_it_vanishes(self):
         # rounding leaves cos^2 angles of 1.8e-34 at this antipodal pair, where

@@ -70,6 +70,25 @@ class TestConstruction:
             rebuilt = PointConfiguration.from_correlation(gram)
             assert np.max(np.abs(rebuilt.correlation - gram)) <= 1e-10
 
+    @pytest.mark.parametrize("points, message", [
+        ([1.0, 0.0, 0.0], "points must be a 2-d array of shape"),
+        (np.empty((0, 3)), "at least one point is required"),
+        ([[1.0], [-1.0]], "ambient dimension must be at least 2"),
+    ])
+    def test_malformed_points_rejected(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            PointConfiguration.from_points(points)
+
+    @pytest.mark.parametrize("rho, message", [
+        ([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3]], "correlation matrix must be square"),
+        ([[1.0, 0.2], [0.3, 1.0]], "correlation matrix must be symmetric"),
+        ([[1.0, 0.2], [0.2, 0.9]], "correlation matrix must have unit diagonal"),
+        ([[1.0, -1.0], [-1.0, 1.0]], "correlation matrix has rank below 2"),  # antipodal pair
+    ])
+    def test_malformed_correlation_rejected(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            PointConfiguration.from_correlation(rho)
+
     def test_non_unit_points_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             PointConfiguration.from_points([[1.0, 1.0, 0.0]])
@@ -182,6 +201,8 @@ class TestCriticalRadius:
         assert config.cos_sq_theta_star == 0.0
         assert config.theta_star == math.pi / 2.0
         assert config.tan_theta_star == math.inf
+        with pytest.raises(ValueError, match="multiplicity requires at least two points"):
+            config.multiplicity
 
     @pytest.mark.parametrize("points", [
         [[0.6, 0.8], [-0.6, -0.8]],

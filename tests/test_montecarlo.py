@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ class TestDeltaEstimation:
     def test_warns_when_underpowered(self, benchmark_config, gauss_law):
         with pytest.warns(UserWarning, match="below 100"):
             estimate_delta(benchmark_config, gauss_law, 4.0, 10**4, seed=1)
+
+    def test_underflowing_tube_is_refused_before_simulating(
+        self, benchmark_config, gauss_law, monkeypatch
+    ):
+        # the Gaussian P_tube underflows to 0 at c = 40, where delta_exact
+        # refuses with the same message; no warning and no simulation come first
+        def never(*args, **kwargs):
+            raise AssertionError("simulate_pmax was called")
+
+        monkeypatch.setattr(montecarlo, "simulate_pmax", never)
+        message = "P_tube underflows to 0 at c=40; the relative error is undefined"
+        with pytest.raises(FloatingPointError, match=message):
+            delta_exact(benchmark_config, gauss_law, 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=message):
+                estimate_delta(benchmark_config, gauss_law, 40.0, 10**4, seed=1)
 
 
 class TestSymmetries:

@@ -543,6 +543,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="family"):
             law_from_dict({"family": "weibull"})
 
+    @pytest.mark.parametrize("spec, message", [
+        (5, "law description must be a mapping with a 'family' key"),
+        ("chi_square", "law description must be a mapping with a 'family' key"),
+        ({"nu": 3.0}, "law description must be a mapping with a 'family' key"),
+        ({"family": ["x"]}, r"unknown law family \['x'\]"),
+        ({"family": "chi_square", "nu": None}, "law parameter 'nu' must be a number, got None"),
+        ({"family": "f", "nu1": 3.0, "nu2": "three"},
+         "law parameter 'nu2' must be a number, got 'three'"),
+    ])
+    def test_malformed_description(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            law_from_dict(spec)
+
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="requires parameter"):
             law_from_dict({"family": "f", "nu1": 3.0})
