@@ -58,10 +58,7 @@ class ExperimentConfig:
                 "config must contain exactly one of 'points' or 'correlation'"
             )
         source = "points" if has_points else "correlation"
-        try:
-            array = np.asarray(raw[source], dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{source!r} must be a rectangular array of numbers") from None
+        array = _config_array(source, raw[source])
         if has_points:
             configuration = PointConfiguration.from_points(array)
         else:
@@ -79,7 +76,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"c_grid must be an object with 'start', 'stop' and 'step', got {grid_spec!r}"
                 )
-            grid = _build_grid(grid_spec["start"], grid_spec["stop"], grid_spec["step"])
+            bounds = [
+                _config_number(f"c_grid {key}", grid_spec[key]) for key in ("start", "stop", "step")
+            ]
+            grid = _build_grid(*bounds)
         else:
             grid = _build_grid(1.0, 8.0, 0.5)
         trials = getattr(args, "trials", None)
@@ -104,12 +104,7 @@ def _positive_int(text):
 
 
 def _build_grid(start, stop, step):
-    try:
-        start, stop, step = float(start), float(stop), float(step)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"grid start, stop and step must be numbers, got {start!r}:{stop!r}:{step!r}"
-        ) from None
+    """The thresholds start, start + step, ... up to stop, from three floats."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
@@ -123,10 +118,17 @@ def _build_grid(start, stop, step):
 
 
 def _parse_grid(text):
+    """The grid of the ``--c-grid`` text START:STOP:STEP."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--c-grid expects START:STOP:STEP")
-    return _build_grid(*parts)
+    try:
+        bounds = [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(
+            f"grid start, stop and step must be numbers, got {':'.join(map(repr, parts))}"
+        ) from None
+    return _build_grid(*bounds)
 
 
 def _fmt(value):
@@ -197,7 +199,7 @@ def _reproduce_preset(case):
     """The experiment description of a built-in case, as ``load`` reads a file."""
     start, stop, step = REPRODUCE_CASES[case]["grid"]
     return {
-        "correlation": np.full((3, 3), 0.25) + 0.75 * np.eye(3),
+        "correlation": (np.full((3, 3), 0.25) + 0.75 * np.eye(3)).tolist(),
         "law": REPRODUCE_CASES[case]["law"].to_dict(),
         "c_grid": {"start": start, "stop": stop, "step": step},
         "trials": 10000,
@@ -245,6 +247,35 @@ def _run_exact(exp):
         [c, excursion.p_exact(exp.configuration, exp.law, c)] for c in exp.c_grid
     ]
     return ["c", "p_exact"], rows
+
+
+def _config_number(name, value):
+    """A JSON number as a float: an int or a float, never a bool or a string.
+    An integer beyond double range reads as infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _config_array(name, value):
+    """A rectangular JSON array of numbers as a float array; every entry is
+    read by ``_config_number``."""
+    def entries(item):
+        if isinstance(item, list):
+            return [entries(entry) for entry in item]
+        return _config_number(f"{name} entry", item)
+
+    message = f"{name!r} must be a rectangular array of numbers"
+    if not isinstance(value, list):
+        raise ValueError(message)
+    nested = entries(value)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError:  # ragged
+        raise ValueError(message) from None
 
 
 def _config_int(name, value):

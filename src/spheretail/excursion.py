@@ -230,10 +230,13 @@ def marginal_tail(law, n, c):
     """Marginal exceedance probability Pr(<u, xi> >= c) of one coordinate.
 
     Uses the beta-mixture representation Pr(R_1 >= c^2) / 2 for ``c > 0``,
-    1/2 at ``c = 0``, and the symmetry Pr >= c = 1 - Pr >= -c for ``c < 0``.
+    1/2 at ``c = 0``, and the symmetry Pr >= c = 1 - Pr >= -c for ``c < 0``;
+    a NaN threshold is refused.
     """
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
+    if math.isnan(c):
+        raise ValueError("threshold must not be NaN")
     if c == 0.0:
         return 0.5
     if c < 0.0:
@@ -295,7 +298,7 @@ def p_tube(config, law, c):
     Returned raw (it exceeds 1 for small c); reports cap it separately for
     display while the raw value feeds every relative-error computation.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("threshold must be positive")
     return config.n_points * marginal_tail(law, config.dim, c)
 
@@ -683,7 +686,7 @@ def build_report(config, law, c):
         prediction = delta_rv_limit(config, desc.gamma)
         bound = delta_bar(config, desc.gamma)
         lower = (1.0 - bound) * tube
-        if lower >= exact:
+        if lower > exact:
             flags.append("pre_asymptotic")
     else:
         branch = "SUBEXP"

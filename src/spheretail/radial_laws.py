@@ -13,6 +13,7 @@ passed generator.
 
 import functools
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -83,19 +84,31 @@ def g_beta(beta, y):
 
 class RadialLaw:
     """Base class for the law of the squared radial part; each family is a
-    frozen dataclass whose fields are its parameters, all positive, finite and
-    stored as ``float`` (so equal laws serialise, and digest, alike)."""
+    frozen dataclass whose fields are its parameters.
+
+    Construction is the one check of a parameter, for Python callers and for
+    ``law_from_dict`` alike: it must be a real number and not a bool (so
+    ``True`` and ``"3"`` are refused), positive and finite, where an integer
+    beyond double range reads as infinite.  It is stored as ``float``, so equal
+    laws serialise, and digest, alike.
+    """
 
     family = "base"
 
     def __post_init__(self):
         for param in fields(self):
             value = getattr(self, param.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"law parameter {param.name!r} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond double range
+                value = math.inf if value > 0 else -math.inf
             if not value > 0.0:
                 raise ValueError(f"{param.name} must be positive, got {value}")
             if value == math.inf:
                 raise ValueError(f"{param.name} must be finite, got {value}")
-            object.__setattr__(self, param.name, float(value))
+            object.__setattr__(self, param.name, value)
 
     def tail(self, x):
         """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays.
@@ -415,7 +428,9 @@ def law_from_dict(spec):
 
     Expected keys: ``family`` (one of ``chi_square``, ``chi``, ``f``,
     ``log_normal``, ``bessel``) and the family's fields: the required
-    ``nu`` or ``nu1``/``nu2`` and an optional ``scale``.
+    ``nu`` or ``nu1``/``nu2`` and an optional ``scale``.  A missing required
+    field and any other key are refused by name; the values go to the
+    family's constructor as given, which checks them.
     """
     try:
         family = spec["family"]
@@ -424,15 +439,12 @@ def law_from_dict(spec):
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown law family {family!r}; expected one of {sorted(_FAMILIES)}")
     cls = _FAMILIES[family]
-    kwargs = {}
+    names = [param.name for param in fields(cls)]
+    params = {key: value for key, value in spec.items() if key != "family"}
+    for key in params:
+        if key not in names:
+            raise ValueError(f"law family {family!r} has no parameter {key!r}; expected {names}")
     for param in fields(cls):
-        if param.name in spec:
-            try:
-                kwargs[param.name] = float(spec[param.name])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"law parameter {param.name!r} must be a number, got {spec[param.name]!r}"
-                ) from None
-        elif param.default is MISSING:
+        if param.default is MISSING and param.name not in params:
             raise ValueError(f"law family {family!r} requires parameter {param.name!r}")
-    return cls(**kwargs)
+    return cls(**params)

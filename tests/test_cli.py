@@ -268,12 +268,35 @@ class TestValidationFailures:
         (base_config(c_grid={"start": 1.0, "stop": 3.0}),
          "c_grid must be an object with 'start', 'stop' and 'step'"),
         (base_config(c_grid={"start": None, "stop": 3.0, "step": 0.5}),
-         "grid start, stop and step must be numbers, got None:3.0:0.5"),
+         "c_grid start must be a number, got None"),
         (base_config(law={"family": "chi_square", "nu": None}),
          "law parameter 'nu' must be a number, got None"),
         (base_config(law={"family": ["x"]}), "unknown law family ['x']"),
         (base_config(output=1), "output must be a file path, got 1"),
         (base_config(output=5), "output must be a file path, got 5"),
+        # numbers are JSON numbers: no bool, no numeric string, and an integer
+        # beyond double range reads as infinite
+        (base_config(law={"family": "chi_square", "nu": True}),
+         "law parameter 'nu' must be a number, got True"),
+        (base_config(law={"family": "chi_square", "nu": "3"}),
+         "law parameter 'nu' must be a number, got '3'"),
+        (base_config(law={"family": "chi_square", "nu": 10**400}), "nu must be finite, got inf"),
+        (base_config(law={"family": "chi_square", "nu": 3, "scal": 2.0}),
+         "law family 'chi_square' has no parameter 'scal'"),
+        (base_config(c_grid={"start": True, "stop": 3.0, "step": 0.5}),
+         "c_grid start must be a number, got True"),
+        (base_config(c_grid={"start": "1", "stop": 3.0, "step": 0.5}),
+         "c_grid start must be a number, got '1'"),
+        (base_config(c_grid={"start": 1.0, "stop": 10**400, "step": 0.5}),
+         "grid start, stop and step must be finite, got 1.0:inf:0.5"),
+        ({"points": [[1.0, 0.0], [0.0, True]], "law": {"family": "chi_square", "nu": 3.0}},
+         "points entry must be a number, got True"),
+        ({"points": [[1.0, 0.0], ["0", 1.0]], "law": {"family": "chi_square", "nu": 3.0}},
+         "points entry must be a number, got '0'"),
+        (base_config(correlation=[[1.0, "0.25"], [0.25, 1.0]]),
+         "correlation entry must be a number, got '0.25'"),
+        ({"points": [[1.0, 0.0], [1.0]], "law": {"family": "chi_square", "nu": 3.0}},
+         "'points' must be a rectangular array of numbers"),
     ])
     def test_malformed_config_types(self, tmp_path, monkeypatch, capsys, raw, message):
         cfg = tmp_path / "cfg.json"

@@ -92,6 +92,11 @@ class TestMarginalTail:
         with pytest.raises(ValueError, match="ambient dimension must be at least 2"):
             marginal_tail(gauss_law, 1, 2.0)
 
+    def test_nan_threshold_is_refused(self, t_law):
+        # once "tail argument must be nonnegative (and not NaN)" from the law
+        with pytest.raises(ValueError, match="^threshold must not be NaN$"):
+            marginal_tail(t_law, 3, math.nan)
+
     def test_mixture_cache_stays_small(self):
         # each cached mixture holds 4 x 4096 coefficients (128 KiB); a process
         # that evaluates many distinct thresholds keeps at most 64 of them
@@ -131,6 +136,13 @@ class TestPTube:
     def test_requires_positive_threshold(self, benchmark_config, t_law):
         with pytest.raises(ValueError):
             p_tube(benchmark_config, t_law, 0.0)
+
+    @pytest.mark.parametrize("function", [p_tube, p_exact, delta_exact, build_report],
+                             ids=lambda function: function.__name__)
+    def test_nan_threshold_is_refused(self, benchmark_config, t_law, function):
+        # once "tail argument must be nonnegative (and not NaN)" from the law
+        with pytest.raises(ValueError, match="^threshold must be positive$"):
+            function(benchmark_config, t_law, math.nan)
 
     @pytest.mark.parametrize("n", [2, 3, 30])
     def test_single_point_limit_at_zero_is_half(self, gauss_law, n):
@@ -941,6 +953,32 @@ class TestReports:
         assert report.delta_bar == 0.390625
         assert report.p_lower < report.p_exact
         assert report.flags == ""
+
+    @pytest.mark.parametrize("law, c", [
+        (FDist(3.0, 20.0), 0.1), (FDist(3.0, 20.0), 1.0), (FDist(3.0, 20.0), 2.0),
+        (FDist(3.0, 3.0), 0.1),
+    ])
+    def test_pre_asymptotic_where_the_lower_bound_fails(self, benchmark_config, law, c):
+        report = build_report(benchmark_config, law, c)
+        assert report.p_lower > report.p_exact
+        assert report.flags == "pre_asymptotic"
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 6.0])
+    def test_no_pre_asymptotic_flag_where_the_bound_holds(self, benchmark_config, c):
+        report = build_report(benchmark_config, FDist(3.0, 3.0), c)
+        assert report.p_lower < report.p_exact
+        assert report.flags == ""
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, 6.0])
+    def test_no_pre_asymptotic_flag_where_delta_bar_is_zero(self, single_point, c):
+        # for one point and an antipodal pair the lower bound is P_tube itself,
+        # which P equals: the sandwich holds with equality
+        antipodal = PointConfiguration.from_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        for config in (single_point, antipodal):
+            report = build_report(config, FDist(3.0, 3.0), c)
+            assert report.delta_bar == 0.0
+            assert report.p_lower == report.p_exact
+            assert report.flags == ""
 
     def test_subexp_report_fields(self, benchmark_config, gauss_law):
         report = build_report(benchmark_config, gauss_law, 4.0)

@@ -551,6 +551,10 @@ class TestConfigParsing:
         ({"family": "chi_square", "nu": None}, "law parameter 'nu' must be a number, got None"),
         ({"family": "f", "nu1": 3.0, "nu2": "three"},
          "law parameter 'nu2' must be a number, got 'three'"),
+        ({"family": "chi_square", "nu": True}, "law parameter 'nu' must be a number, got True"),
+        ({"family": "chi_square", "nu": "3"}, "law parameter 'nu' must be a number, got '3'"),
+        ({"family": "chi_square", "nu": 3.0, "scal": 2.0},
+         r"^law family 'chi_square' has no parameter 'scal'; expected \['nu', 'scale'\]$"),
     ])
     def test_malformed_description(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -571,3 +575,15 @@ class TestConfigParsing:
             law_from_dict({"family": "chi_square", "nu": math.inf})
         with pytest.raises(ValueError, match=r"^scale must be finite, got inf$"):
             LogNormal(scale=math.inf)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, r"^law parameter 'nu' must be a number, got True$"),
+        ("3", r"^law parameter 'nu' must be a number, got '3'$"),
+        (None, r"^law parameter 'nu' must be a number, got None$"),
+        (10**400, r"^nu must be finite, got inf$"),
+        (-10**400, r"^nu must be positive, got -inf$"),
+    ], ids=["bool", "str", "none", "huge", "huge_negative"])
+    def test_constructor_checks_parameters(self, value, message):
+        # the one check of a parameter, for Python callers as for law_from_dict
+        with pytest.raises(ValueError, match=message):
+            ChiSquare(nu=value)
