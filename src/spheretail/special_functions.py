@@ -10,12 +10,14 @@ incomplete gamma and beta functions of the radial tails are called from
 ``integrate`` has no caller inside the package; its absolute tolerance of
 1e-14 gives no relative accuracy for integrals below about 1e-14.
 
+Each routine imports its scipy submodule on first call, so importing this
+module, and with it ``spheretail``, loads neither ``scipy.optimize`` nor
+``scipy.integrate``: a single CLI command's wall time is mostly import, and
+most commands call neither routine.
+
 Every routine here is a pure function of its inputs and safe for concurrent
 invocation; there is no shared mutable state.
 """
-
-from scipy import integrate as _sci_integrate
-from scipy import optimize as _sci_optimize
 
 __all__ = ["QuadratureError", "integrate", "find_root"]
 
@@ -54,7 +56,9 @@ def integrate(f, a, b):
         If the tolerance is not reached within the subdivision budget; the
         exception carries the best estimate and error bound.
     """
-    result = _sci_integrate.quad(
+    from scipy.integrate import quad
+
+    result = quad(
         f, a, b, epsabs=1e-14, epsrel=1e-10, limit=400, full_output=1
     )
     if len(result) > 3:
@@ -68,4 +72,6 @@ def find_root(f, lo, hi):
     Stops at an absolute width of ``1e-13 * (1 + |hi|)``.  Raises
     ``ValueError`` when ``f(lo)`` and ``f(hi)`` have the same sign.
     """
-    return _sci_optimize.brentq(f, lo, hi, xtol=1e-13 * (1.0 + abs(hi)))
+    from scipy.optimize import brentq
+
+    return brentq(f, lo, hi, xtol=1e-13 * (1.0 + abs(hi)))

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import betaln
 
 from spheretail.special_functions import QuadratureError, find_root, integrate
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestIntegrate:
@@ -56,3 +62,32 @@ class TestFindRoot:
     def test_endpoint_roots(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
         assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+FIRST_CALL = """
+import math, sys
+from spheretail.special_functions import QuadratureError, find_root, integrate
+
+assert "scipy.optimize" not in sys.modules
+f = lambda x: math.cos(x) - x
+root = find_root(f, 0.0, 2.0)
+from scipy.optimize import brentq
+assert root == brentq(f, 0.0, 2.0, xtol=1e-13 * (1.0 + abs(2.0))), root
+assert "scipy.integrate" not in sys.modules
+try:
+    integrate(lambda x: 1.0 / x, 0.0, 1.0)
+except QuadratureError:
+    pass
+else:
+    raise AssertionError("1/x over [0, 1] integrated without QuadratureError")
+"""
+
+
+def test_first_call_in_a_fresh_process():
+    # scipy.optimize and scipy.integrate load inside the first call, not on
+    # import; the lazy path must give scipy's Brent root to the bit
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
