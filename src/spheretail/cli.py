@@ -22,7 +22,7 @@ import numpy as np
 
 from . import excursion, montecarlo
 from .geometry import PointConfiguration
-from .radial_laws import Bessel, ChiSquare, FDist, LogNormal, law_from_dict
+from .radial_laws import Bessel, ChiSquare, FDist, LogNormal, _as_real, law_from_dict
 
 __all__ = ["ExperimentConfig", "run", "main", "REPRODUCE_CASES"]
 
@@ -34,8 +34,8 @@ class ExperimentConfig:
     configuration: PointConfiguration
     law: object
     c_grid: np.ndarray | None  # None for ``threshold``, which reads no grid
-    trials: object        # as given; only ``simulate`` and ``reproduce`` read it
-    seed: object          # as given; only ``simulate`` and ``reproduce`` read it
+    trials: object        # as given; simulate_pmax reads it by montecarlo's rule
+    seed: object          # as given; simulate_pmax reads it by montecarlo's rule
     output: str | None
 
     @classmethod
@@ -77,30 +77,22 @@ class ExperimentConfig:
                     f"c_grid must be an object with 'start', 'stop' and 'step', got {grid_spec!r}"
                 )
             bounds = [
-                _config_number(f"c_grid {key}", grid_spec[key]) for key in ("start", "stop", "step")
+                _as_real(f"c_grid {key}", grid_spec[key]) for key in ("start", "stop", "step")
             ]
             grid = _build_grid(*bounds)
         else:
             grid = _build_grid(1.0, 8.0, 0.5)
         trials = getattr(args, "trials", None)
         if trials is None:
-            trials = raw.get("trials", 10000)  # checked by _run_simulate, its one reader
+            trials = raw.get("trials", 10000)
         seed = getattr(args, "seed", None)
         if seed is None:
-            seed = raw.get("seed", 0)  # checked by _run_simulate, its one reader
+            seed = raw.get("seed", 0)
         output = args.out or raw.get("output")
         if output is not None and not isinstance(output, str):
             # open() would take an integer for a file descriptor
             raise ValueError(f"output must be a file path, got {output!r}")
         return cls(configuration, law, grid, trials, seed, output)
-
-
-def _positive_int(text):
-    """argparse type of ``--trials``: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _build_grid(start, stop, step):
@@ -114,7 +106,10 @@ def _build_grid(start, stop, step):
     if start <= 0.0:
         raise ValueError("grid thresholds must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    grid = start + step * np.arange(count)
+    if not np.all(np.diff(grid) > 0.0):  # a step below the spacing of doubles
+        raise ValueError("c_grid must be strictly increasing")
+    return grid
 
 
 def _parse_grid(text):
@@ -249,24 +244,13 @@ def _run_exact(exp):
     return ["c", "p_exact"], rows
 
 
-def _config_number(name, value):
-    """A JSON number as a float: an int or a float, never a bool or a string.
-    An integer beyond double range reads as infinite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _config_array(name, value):
     """A rectangular JSON array of numbers as a float array; every entry is
-    read by ``_config_number``."""
+    read by ``_as_real``."""
     def entries(item):
         if isinstance(item, list):
             return [entries(entry) for entry in item]
-        return _config_number(f"{name} entry", item)
+        return _as_real(f"{name} entry", item)
 
     message = f"{name!r} must be a rectangular array of numbers"
     if not isinstance(value, list):
@@ -278,19 +262,8 @@ def _config_array(name, value):
         raise ValueError(message) from None
 
 
-def _config_int(name, value):
-    """A JSON integer: an int or an integral float, never a bool or a string."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _run_simulate(exp):
-    trials = _config_int("trials", exp.trials)
-    seed = _config_int("seed", exp.seed)
-    sim = montecarlo.simulate_pmax(exp.configuration, exp.law, exp.c_grid, trials, seed)
+    sim = montecarlo.simulate_pmax(exp.configuration, exp.law, exp.c_grid, exp.trials, exp.seed)
     rows = [
         [c, p, se, sim.trials, sim.seed]
         for c, p, se in zip(sim.c_grid, sim.estimates, sim.standard_errors)
@@ -378,7 +351,7 @@ def _build_parser():
         if name != "threshold":
             p.add_argument("--c-grid", help="threshold grid as START:STOP:STEP")
         if name in ("simulate", "reproduce"):
-            p.add_argument("--trials", type=_positive_int, help="Monte Carlo trials")
+            p.add_argument("--trials", type=int, help="Monte Carlo trials")
             p.add_argument("--seed", type=int, help="simulation seed in [0, 2^64)")
     thr = commands["threshold"]
     thr.add_argument("--target", type=float, required=True, help="target probability")

@@ -7,10 +7,15 @@ on a thread pool sized to the CPUs this process may use (the work is NumPy
 and BLAS code that releases the interpreter lock) and their results are
 combined in chunk order, so the output is bit-identical whatever the worker
 count, and identical inputs always reproduce identical output.
+
+Every entry point reads its trial count and seed by one rule,
+``_check_draws``: ``1000.0`` and ``np.int64(1000)`` are the count 1000, and a
+bool, a string or ``None`` is refused.
 """
 
 import hashlib
 import json
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -31,12 +36,22 @@ _BLOCK_TRIALS = 1 << 10
 
 
 def _check_draws(trials, seed):
-    """Reject fewer than one trial, and a seed that does not fit the 64-bit
-    Philox key word (it would alias the seed it equals modulo 2**64)."""
+    """The trial count and the seed as Python ints.
+
+    Each must be an int or an integral float, never a bool; then trials must
+    be at least 1 and the seed must fit the 64-bit Philox key word (it would
+    alias the seed it equals modulo 2**64).
+    """
+    for name, value in (("trials", trials), ("seed", seed)):
+        integral_float = isinstance(value, float) and value.is_integer()
+        if not integral_float and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    trials, seed = int(trials), int(seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return trials, seed
 
 
 def _chunk_generator(seed, chunk_index):
@@ -103,7 +118,7 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
 
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
-    _check_draws(trials, seed)
+    trials, seed = _check_draws(trials, seed)
     return np.concatenate(_map_chunks(
         lambda j, size: _chunk_tmax(config, law, seed, j, size), trials))
 
@@ -122,7 +137,7 @@ def simulate_pmax(config, law, c_grid, trials, seed):
         raise ValueError("c_grid must be strictly increasing")
     if not np.all(c_grid > 0.0):
         raise ValueError("thresholds must be positive")
-    _check_draws(trials, seed)
+    trials, seed = _check_draws(trials, seed)
 
     def chunk_counts(chunk_index, size):
         tmax = _chunk_tmax(config, law, seed, chunk_index, size)
@@ -142,8 +157,8 @@ def simulate_pmax(config, law, c_grid, trials, seed):
         c_grid=grid,
         estimates=estimates,
         standard_errors=std_errors,
-        trials=int(trials),
-        seed=int(seed),
+        trials=trials,
+        seed=seed,
         law_digest=_law_digest(law),
         config_digest=_config_digest(config),
     )
@@ -158,6 +173,7 @@ def estimate_delta(config, law, c, trials, seed):
     100, where the estimate is noise-dominated.  Raises
     ``FloatingPointError``, before simulating, when P_tube underflows to 0.
     """
+    trials, seed = _check_draws(trials, seed)
     tube = p_tube(config, law, c)
     _check_tube(tube, c)
     if tube * trials < 100.0:

@@ -82,28 +82,34 @@ def g_beta(beta, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _as_real(name, value):
+    """A number as a float: a real number and not a bool (so ``True`` and
+    ``"3"`` are refused), where an integer beyond double range reads as
+    infinite.  The one rule for a number that a law or an experiment file
+    gives."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond double range
+        return math.inf if value > 0 else -math.inf
+
+
 class RadialLaw:
     """Base class for the law of the squared radial part; each family is a
     frozen dataclass whose fields are its parameters.
 
     Construction is the one check of a parameter, for Python callers and for
-    ``law_from_dict`` alike: it must be a real number and not a bool (so
-    ``True`` and ``"3"`` are refused), positive and finite, where an integer
-    beyond double range reads as infinite.  It is stored as ``float``, so equal
-    laws serialise, and digest, alike.
+    ``law_from_dict`` alike: it must be a number by ``_as_real``, positive and
+    finite.  It is stored as ``float``, so equal laws serialise, and digest,
+    alike.
     """
 
     family = "base"
 
     def __post_init__(self):
         for param in fields(self):
-            value = getattr(self, param.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"law parameter {param.name!r} must be a number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond double range
-                value = math.inf if value > 0 else -math.inf
+            value = _as_real(f"law parameter {param.name!r}", getattr(self, param.name))
             if not value > 0.0:
                 raise ValueError(f"{param.name} must be positive, got {value}")
             if value == math.inf:

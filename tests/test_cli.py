@@ -104,14 +104,14 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_nonpositive_trials_flag_is_a_usage_error(self, tmp_path, capsys, command, trials):
+    def test_nonpositive_trials_flag_is_a_validation_error(self, tmp_path, capsys, command, trials):
+        # the flag is read by the library's rule, like a config's "trials": 0
         cfg = write_config(tmp_path / "cfg.json")
         source = ["--config", str(cfg)] if command == "simulate" else ["--case", "gauss"]
-        with pytest.raises(SystemExit) as exc:
-            cli.run([command, *source, "--trials", trials, "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
-        assert "--trials" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        out = tmp_path / "x.csv"
+        assert cli.run([command, *source, "--trials", trials, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: trials must be at least 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -358,6 +358,21 @@ class TestValidationFailures:
             out = tmp_path / f"{command}.csv"
             assert cli.run([command, "--config", str(cfg), "--out", str(out)]) == 1
             assert "grid start, stop and step must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["approx", "exact", "simulate", "error", "reproduce"])
+    def test_grid_below_the_spacing_of_doubles(self, tmp_path, capsys, command):
+        # the 23 thresholds 1 + k e-17 round to 1 and 1 + 2**-52, so c = 1 would
+        # repeat 12 times; every grid command refuses the grid, as flag or in a file
+        grid = {"start": 1.0, "stop": 1.0000000000000002, "step": 1e-17}
+        cfg = write_config(tmp_path / "cfg.json", c_grid=grid)
+        flag = ["--c-grid", "1:1.0000000000000002:1e-17"]
+        sources = [["--case", "gauss", *flag]] if command == "reproduce" else [
+            ["--config", str(cfg)], ["--config", str(write_config(tmp_path / "ok.json")), *flag]]
+        out = tmp_path / "x.csv"
+        for source in sources:
+            assert cli.run([command, *source, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: c_grid must be strictly increasing\n"
             assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):

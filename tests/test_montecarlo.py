@@ -246,4 +246,47 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             sample_tmax(benchmark_config, t_law, 10, seed=seed)
         largest = simulate_pmax(benchmark_config, t_law, np.array([1.0]), 10, seed=2**64 - 1)
-        assert largest.seed == 2**64 - 1
+        assert type(largest.seed) is int and largest.seed == 2**64 - 1
+
+
+class TestDrawRule:
+    """One rule reads a trial count and a seed, for every library entry point:
+    an int or an integral float, never a bool, a string or None."""
+
+    @staticmethod
+    def _calls(config, law):
+        return {
+            "simulate_pmax": lambda trials, seed: simulate_pmax(
+                config, law, np.array([1.0, 2.0]), trials, seed).estimates,
+            "sample_tmax": lambda trials, seed: sample_tmax(config, law, trials, seed),
+            "estimate_delta": lambda trials, seed: estimate_delta(
+                config, law, 1.0, trials, seed),
+        }
+
+    @pytest.mark.parametrize("entry", ["simulate_pmax", "sample_tmax", "estimate_delta"])
+    @pytest.mark.parametrize("trials, seed, name, bad", [
+        (1000, 1.5, "seed", 1.5),
+        (1000, True, "seed", True),
+        (1000, "7", "seed", "7"),
+        (1000, None, "seed", None),
+        (True, 7, "trials", True),
+        (2.5, 7, "trials", 2.5),
+        ("10", 7, "trials", "10"),
+    ])
+    def test_refused(self, benchmark_config, t_law, entry, trials, seed, name, bad):
+        call = self._calls(benchmark_config, t_law)[entry]
+        with pytest.raises(ValueError) as err:
+            call(trials, seed)
+        assert str(err.value) == f"{name} must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("entry", ["simulate_pmax", "sample_tmax", "estimate_delta"])
+    @pytest.mark.parametrize("trials, seed", [(1000.0, 7), (np.int64(1000), 7), (1000, 7.0)])
+    def test_integral_values_draw_as_ints(self, benchmark_config, t_law, entry, trials, seed):
+        call = self._calls(benchmark_config, t_law)[entry]
+        assert np.array_equal(call(trials, seed), call(1000, 7))
+
+    def test_result_holds_python_ints(self, benchmark_config, t_law):
+        grid = np.array([1.0])
+        sim = simulate_pmax(benchmark_config, t_law, grid, np.int64(1000), 7.0)
+        assert type(sim.trials) is int and type(sim.seed) is int
+        assert (sim.trials, sim.seed) == (1000, 7)
