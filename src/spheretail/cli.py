@@ -13,6 +13,7 @@ failure.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -95,8 +96,15 @@ class ExperimentConfig:
         return cls(configuration, law, grid, trials, seed, output)
 
 
+# Most thresholds a grid may hold.  Each row of ``approx``, ``exact`` and
+# ``error`` builds its own beta mixture (about 1 ms), so a grid this long
+# already runs for minutes; a longer one is refused before it is allocated.
+MAX_GRID_ROWS = 100_000
+
+
 def _build_grid(start, stop, step):
-    """The thresholds start, start + step, ... up to stop, from three floats."""
+    """The thresholds start, start + step, ... up to stop, from three floats;
+    at most ``MAX_GRID_ROWS`` of them."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"grid start, stop and step must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
@@ -105,7 +113,12 @@ def _build_grid(start, stop, step):
         raise ValueError("grid start must be below stop")
     if start <= 0.0:
         raise ValueError("grid thresholds must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf where the quotient overflows
+    if span >= MAX_GRID_ROWS:
+        raise ValueError(
+            f"grid {start}:{stop}:{step} has more than {MAX_GRID_ROWS} thresholds"
+        )
+    count = int(math.floor(span)) + 1
     grid = start + step * np.arange(count)
     if not np.all(np.diff(grid) > 0.0):  # a step below the spacing of doubles
         raise ValueError("c_grid must be strictly increasing")
@@ -324,7 +337,9 @@ def _run_threshold(exp, args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spheretail",
         description=(

@@ -556,15 +556,17 @@ def solve_threshold(config, law, target, method="tube"):
     exact probability (``"exact"``).  Every evaluation of P builds a beta
     mixture, so the radial law's own tail steers the search.  In t = log c,
     log P = G + Q with the scalar G(t) = log tail(e^(2t)) and the slowly
-    varying Q = log(P / tail(c^2)).  Each step solves G + Q_hat = log(target)
-    for the next point, with Q_hat equal to log(N/2) first (P <= (N/2)
-    tail(c^2), so that point lies above the root), then the last Q, then the
-    secant line through the last two Q.  A bisection in c replaces a step
-    whose root leaves the bracket set by the signs of the evaluated P, or
-    that is not below half the step before last.  The search returns the
-    root of the secant through the last two log P, kept inside the bracket,
-    once it moves c by at most tol = 1e-10 c, or once the curvature through
-    the last three puts it within tol / 100 of the root.  The search covers
+    varying Q = log(P / tail(c^2)); G is evaluated once per distinct
+    argument c^2 of a solve, however often Brent and the steps return to it.
+    Each step solves G + Q_hat = log(target) for the next point, with Q_hat
+    equal to log(N/2) first (P <= (N/2) tail(c^2), so that point lies above
+    the root), then the last Q, then the secant line through the last two Q.
+    A bisection in c replaces a step whose root leaves the bracket set by
+    the signs of the evaluated P, or that is not below half the step before
+    last.  The search returns the root of the secant through the last two
+    log P, kept inside the bracket, once it moves c by at most
+    tol = 1e-10 c, or once the curvature through the last three puts it
+    within tol / 100 of the root.  The search covers
     all of c > 0: P at its lower end is the limit P(0+) and is evaluated
     only for a target outside (0, 1/2); P at c = 2^200 is evaluated only
     when the tail bound cannot place the root below it.  Raises
@@ -577,8 +579,13 @@ def solve_threshold(config, law, target, method="tube"):
     else:
         raise ValueError("method must be 'tube' or 'exact'")
 
+    guide_at = {}  # G per argument x = c^2: Brent re-reads its ends and last point
+
     def guide(t):
-        return math.log(max(law.tail(math.exp(2.0 * t)), math.ulp(0.0)))
+        x = math.exp(2.0 * t)
+        if x not in guide_at:
+            guide_at[x] = math.log(max(law.tail(x), math.ulp(0.0)))
+        return guide_at[x]
 
     if not 0.0 < target < 0.5:
         p_lo = prob(config, law, _C_LO)

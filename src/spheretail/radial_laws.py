@@ -120,16 +120,24 @@ class RadialLaw:
         """Upper tail Pr(R > x) for x >= 0; accepts scalars or arrays.
 
         The tail is 1 wherever x / scale is 0; ``_base_tail`` sees only the
-        positive arguments, and its values are clipped at 1.
+        positive arguments, and its values are clipped at 1.  A scalar (a
+        Python or numpy float, or a 0-d array) skips the masks: it is 1 if
+        x / scale is 0 and otherwise the same ``_base_tail`` on a one-element
+        array with the same clip, so it equals its element of an array call
+        to the bit.
         """
         xa = np.asarray(x, dtype=float)
-        if not np.all(xa >= 0.0):
+        scalar = xa.ndim == 0
+        if not (float(xa) >= 0.0 if scalar else np.all(xa >= 0.0)):
             raise ValueError("tail argument must be nonnegative (and not NaN)")
-        base = np.atleast_1d(xa) / self.scale
+        if scalar:
+            base = float(xa) / self.scale
+            return 1.0 if base == 0.0 else min(float(self._base_tail(np.array([base]))[0]), 1.0)
+        base = xa / self.scale
         out = np.ones_like(base)
         pos = base > 0.0
         out[pos] = np.minimum(self._base_tail(base[pos]), 1.0)
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(xa.shape)
+        return out
 
     def sample(self, rng, size=None):
         """Draw variates using an explicitly passed ``numpy`` generator."""
@@ -190,7 +198,8 @@ class Chi(RadialLaw):
     family = "chi"
 
     def _base_tail(self, x):
-        return _sci_special.gammaincc(self.nu / 2.0, x * x / 2.0)
+        with np.errstate(over="ignore"):  # x^2 overflows beyond 1.3e154, where Q is 0
+            return _sci_special.gammaincc(self.nu / 2.0, x * x / 2.0)
 
     def _base_sample(self, rng, size):
         return np.sqrt(rng.gamma(self.nu / 2.0, 2.0, size))
@@ -361,29 +370,33 @@ class Bessel(RadialLaw):
         z = x / 4.0
         near = z <= 1.0
         z_near, z_far = z[near], z[~near]
-        # 2 sqrt(z) is 0 where x / 4 underflows, so that h below reads 1 there
-        y_near, y_far = 2.0 * np.sqrt(z_near), 2.0 * np.sqrt(z_far)
-        near_sum = np.zeros_like(z_near)
-        far_sum = np.zeros_like(z_far)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            half = _exp_minus_half_sqrt(x[~near])
-            for k in range(round(nu_b / 2.0)):
-                o, m = abs(a - k), min(k, a)
-                fact = _sci_special.gamma(a) * math.factorial(k)
-                h = 2.0 * z_near ** (o / 2.0) * _sci_special.kv(o, y_near) / _sci_special.gamma(o)
-                # K_o overflows only at z = 0 and where z^(o/2) < Gamma(o) / 3.6e308,
-                # for o <= 2 below z = 1e-300, where h is 1 to rounding
-                h = np.where(np.isfinite(h), h, 1.0 - z_near / (o - 1.0) if o > 2.0 else 1.0)
-                near_sum += z_near**m * (_sci_special.gamma(o) / fact) * h
-                # z^((a+k)/2) exp(-y) as a square keeps every factor finite up to
-                # y = 1e4 for orders up to 80; beyond it the tail is 0
-                root = z_far ** (0.25 * (a + k)) * half
-                far_sum += 2.0 * _sci_special.kve(o, y_far) * root * root / fact
         out = np.empty_like(z)
-        out[near] = near_sum
-        # NaN where kve is (y beyond about 1e15, y = inf) and where the power of
-        # z overflows as exp(-y/2) underflows: the tail is 0 there
-        out[~near] = np.where(np.isnan(far_sum), 0.0, far_sum)
+        facts = [_sci_special.gamma(a) * math.factorial(k) for k in range(round(nu_b / 2.0))]
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            if z_near.size:
+                # 2 sqrt(z) is 0 where x / 4 underflows, so that h below reads 1 there
+                y_near = 2.0 * np.sqrt(z_near)
+                near_sum = np.zeros_like(z_near)
+                for k, fact in enumerate(facts):
+                    o, m = abs(a - k), min(k, a)
+                    h = 2.0 * z_near ** (o / 2.0) * _sci_special.kv(o, y_near) / _sci_special.gamma(o)
+                    # K_o overflows only at z = 0 and where z^(o/2) < Gamma(o) / 3.6e308,
+                    # for o <= 2 below z = 1e-300, where h is 1 to rounding
+                    h = np.where(np.isfinite(h), h, 1.0 - z_near / (o - 1.0) if o > 2.0 else 1.0)
+                    near_sum += z_near**m * (_sci_special.gamma(o) / fact) * h
+                out[near] = near_sum
+            if z_far.size:
+                y_far = 2.0 * np.sqrt(z_far)
+                half = _exp_minus_half_sqrt(x[~near])
+                far_sum = np.zeros_like(z_far)
+                for k, fact in enumerate(facts):
+                    # z^((a+k)/2) exp(-y) as a square keeps every factor finite up to
+                    # y = 1e4 for orders up to 80; beyond it the tail is 0
+                    root = z_far ** (0.25 * (a + k)) * half
+                    far_sum += 2.0 * _sci_special.kve(abs(a - k), y_far) * root * root / fact
+                # NaN where kve is (y beyond about 1e15, y = inf) and where the power
+                # of z overflows as exp(-y/2) underflows: the tail is 0 there
+                out[~near] = np.where(np.isnan(far_sum), 0.0, far_sum)
         return out
 
     def _window_tail(self, x):
@@ -414,7 +427,9 @@ class Bessel(RadialLaw):
             upper = _sci_special.gammaincc(nu_b / 2.0, x[:, None] / (2.0 * t))
             integrand = np.exp(log_fdt) * upper
             integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-        return (integrand @ _GL_WEIGHTS) * half_width
+        # a row-wise reduction, unlike a BLAS product, sums each row alike
+        # whatever rows share the call
+        return (integrand * _GL_WEIGHTS).sum(axis=1) * half_width
 
     def _base_sample(self, rng, size):
         return rng.gamma(self.nu1 / 2.0, 2.0, size) * rng.gamma(self.nu2 / 2.0, 2.0, size)

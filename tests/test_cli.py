@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,39 @@ class TestValidationFailures:
             assert capsys.readouterr().err == "error: c_grid must be strictly increasing\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["approx", "exact", "simulate", "error", "reproduce"])
+    @pytest.mark.parametrize("step", ["1e-9", "5e-324"])
+    def test_grid_above_the_row_ceiling(self, tmp_path, capsys, command, step):
+        # 1:2:1e-9 holds 10^9 + 1 thresholds (8 GB, once a numpy MemoryError
+        # traceback), and 1 / 5e-324 overflows (once exit 2); the count is
+        # refused before any grid is allocated, as flag or in a file
+        grid = {"start": 1.0, "stop": 2.0, "step": float(step)}
+        flag = ["--c-grid", f"1:2:{step}"]
+        sources = [["--case", "gauss", *flag]] if command == "reproduce" else [
+            ["--config", str(write_config(tmp_path / "cfg.json", c_grid=grid))],
+            ["--config", str(write_config(tmp_path / "ok.json")), *flag]]
+        out = tmp_path / "x.csv"
+        for source in sources:
+            tracemalloc.start()
+            try:
+                code = cli.run([command, *source, "--out", str(out)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: grid 1.0:2.0:{float(step)!r} has more than 100000 thresholds\n"
+            )
+            assert peak < 2**20
+            assert not out.exists()
+
+    def test_grid_at_the_row_ceiling(self):
+        assert cli.MAX_GRID_ROWS == 100_000
+        last = 1.0 + 0.5 * (cli.MAX_GRID_ROWS - 1)
+        assert cli._build_grid(1.0, last, 0.5).size == cli.MAX_GRID_ROWS
+        with pytest.raises(ValueError, match="has more than 100000 thresholds"):
+            cli._build_grid(1.0, last + 0.5, 0.5)
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise FloatingPointError("tolerance not reached (estimate 0.1, error bound 0.2)")
@@ -428,6 +462,37 @@ class TestModuleEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == expected.read_bytes()
         assert len(read_csv(out)[1]) == 3
+
+
+# The 16 threshold solves of the benchmark: each reproduce preset law on its
+# three points, two targets, both methods, as the CLI prints them.  A solver
+# change that steers to a different last point shows here in the 17th digit.
+PINNED_SOLVES = {
+    ("t", "0.1", "tube"): "1.628878943026882",
+    ("t", "0.1", "exact"): "1.4705703793817282",
+    ("t", "0.001", "tube"): "8.5559612115374684",
+    ("t", "0.001", "exact"): "8.0201905100966329",
+    ("lognormal", "0.1", "tube"): "1.8214953697508611",
+    ("lognormal", "0.1", "exact"): "1.7239451558417613",
+    ("lognormal", "0.001", "tube"): "4.9151888575688245",
+    ("lognormal", "0.001", "exact"): "4.8667645256882315",
+    ("bessel", "0.1", "tube"): "1.8835332900642607",
+    ("bessel", "0.1", "exact"): "1.7856550090321408",
+    ("bessel", "0.001", "tube"): "4.5098817769695163",
+    ("bessel", "0.001", "exact"): "4.4938834740383449",
+    ("gauss", "0.1", "tube"): "1.8339146358159168",
+    ("gauss", "0.1", "exact"): "1.7887562593415787",
+    ("gauss", "0.001", "tube"): "3.4029328353853376",
+    ("gauss", "0.001", "exact"): "3.401521433180644",
+}
+
+
+@pytest.mark.parametrize("case, target, method", sorted(PINNED_SOLVES))
+def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
+    cfg = write_config(tmp_path / "cfg.json", law=cli.REPRODUCE_CASES[case]["law"].to_dict())
+    argv = ["threshold", "--config", str(cfg), "--target", target, "--method", method]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == f"c_gamma = {PINNED_SOLVES[case, target, method]}\n"
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -874,6 +875,35 @@ class TestThresholdSolving:
         tol = 1e-10 * (1.0 + c)
         reference = brentq(log_excess, c - 10.0 * tol, c + 10.0 * tol, xtol=1e-14)
         assert abs(c - reference) <= tol
+
+    # mixture builds of each benchmark solve, as counted before the guide was
+    # memoized: steering may get cheaper, but must not move a build
+    BENCHMARK_BUILDS = {
+        ("t", 0.1): (5, 5), ("t", 1e-3): (4, 4),
+        ("lognormal", 0.1): (5, 5), ("lognormal", 1e-3): (4, 4),
+        ("bessel", 0.1): (5, 5), ("bessel", 1e-3): (4, 5),
+        ("gauss", 0.1): (6, 6), ("gauss", 1e-3): (5, 5),
+    }
+
+    @pytest.mark.parametrize("method", ["tube", "exact"])
+    @pytest.mark.parametrize("case, target", sorted(BENCHMARK_BUILDS))
+    def test_guide_reads_each_argument_once(self, benchmark_config, case, target, method):
+        arguments = collections.Counter()
+        preset = REPRODUCE_CASES[case]["law"]
+
+        def tail(law, x):
+            if np.ndim(x) == 0:
+                arguments[float(x)] += 1
+            return type(preset).tail(law, x)
+
+        counting = type("Counting" + type(preset).__name__, (type(preset),), {"tail": tail})
+        law = counting(**dataclasses.asdict(preset))
+        excursion._mixture.cache_clear()
+        c = solve_threshold(benchmark_config, law, target, method=method)
+        builds = self.BENCHMARK_BUILDS[case, target][method == "exact"]
+        assert excursion._mixture.cache_info().misses == builds
+        assert arguments and max(arguments.values()) == 1
+        assert c == solve_threshold(benchmark_config, preset, target, method=method)
 
     def test_root_finder_tolerance_saves_a_build(self, benchmark_config):
         # a model step must land within the search's own 1e-10 c of the root:

@@ -145,6 +145,43 @@ class TestExactTails:
         assert np.allclose(law.tail(xs), [law.tail(float(x)) for x in xs], rtol=1e-14)
 
 
+# every family, and Bessel in its closed form (3, 4), its window rule (3, 5)
+# and where that rule's window is widest (0.2, 1.5)
+SCALAR_LAWS = [
+    ChiSquare(3.0), Chi(2.0), FDist(2.0, 5.0), LogNormal(),
+    Bessel(3.0, 4.0), Bessel(3.0, 5.0), Bessel(0.2, 1.5),
+]
+SCALAR_ARGUMENTS = [0.0, 5e-324] + [10.0**e for e in range(-300, 301, 25)]
+
+
+class TestScalarTail:
+    """A scalar argument takes its own branch of ``tail``, which must give the
+    bits of the same argument's element in an array call."""
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0])
+    @pytest.mark.parametrize("law", SCALAR_LAWS, ids=repr)
+    def test_scalar_equals_its_array_element(self, law, scale):
+        law = dataclasses.replace(law, scale=scale)
+        xs = np.array(SCALAR_ARGUMENTS)
+        array = law.tail(xs)
+        for x, element in zip(SCALAR_ARGUMENTS, array):
+            for arg in (x, np.float64(x), np.array(x)):
+                value = law.tail(arg)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == element.tobytes(), (x, type(arg))
+
+    @pytest.mark.parametrize("law", SCALAR_LAWS, ids=repr)
+    def test_scalar_domain_message(self, law):
+        scaled = dataclasses.replace(law, scale=4.0)
+        # -5e-324 / 4 rounds to -0.0, which passes a check made after the scale
+        for x in (-1.0, -5e-324, math.nan):
+            for arg in (x, np.float64(x), np.array(x)):
+                with pytest.raises(
+                    ValueError, match=r"^tail argument must be nonnegative \(and not NaN\)$"
+                ):
+                    scaled.tail(arg)
+
+
 class TestIncompleteGammaBetaTails:
     """The chi-square tail is Q(nu/2, x/2) and the F(nu1, nu2) tail is
     I_t(nu2/2, nu1/2) with t = nu2 / (nu1 x + nu2)."""
