@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sci_special
 
-from .radial_laws import UnsupportedLawError, g_beta
+from .radial_laws import UnsupportedLawError, _as_real, g_beta
 from .special_functions import find_root
 
 __all__ = [
@@ -231,10 +231,11 @@ def marginal_tail(law, n, c):
 
     Uses the beta-mixture representation Pr(R_1 >= c^2) / 2 for ``c > 0``,
     1/2 at ``c = 0``, and the symmetry Pr >= c = 1 - Pr >= -c for ``c < 0``;
-    a NaN threshold is refused.
+    the threshold is read by ``_as_real``, and NaN is refused.
     """
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
+    c = _as_real("threshold", c)
     if math.isnan(c):
         raise ValueError("threshold must not be NaN")
     if c == 0.0:
@@ -292,14 +293,21 @@ def _profile_moments(config):
 # probabilities and relative error
 # ----------------------------------------------------------------------
 
+def _positive_threshold(c):
+    """A threshold c > 0 as a float, read by the package's real-number rule."""
+    c = _as_real("threshold", c)
+    if not c > 0.0:
+        raise ValueError("threshold must be positive")
+    return c
+
+
 def p_tube(config, law, c):
     """Bonferroni sum N Pr(<u_1, xi> >= c).
 
     Returned raw (it exceeds 1 for small c); reports cap it separately for
     display while the raw value feeds every relative-error computation.
     """
-    if not c > 0.0:
-        raise ValueError("threshold must be positive")
+    c = _positive_threshold(c)
     return config.n_points * marginal_tail(law, config.dim, c)
 
 
@@ -313,6 +321,7 @@ def _tube_and_corrections(config, law, c):
     the iid standard error of those direction averages (zero on the
     deterministic n <= 3 paths).
     """
+    c = _positive_threshold(c)
     tube = p_tube(config, law, c)
     coef = _mixture(law, config.dim, c).coef
     moments = _profile_moments(config)
@@ -396,16 +405,6 @@ def _rv_limit(config, gamma):
     return max(mean, 0.0)
 
 
-def _rv_gamma(law):
-    desc = law.class_descriptor()
-    if not desc.regularly_varying:
-        raise UnsupportedLawError(
-            f"{law.family} is not regularly varying; "
-            "the limiting relative error is defined for regularly varying laws only"
-        )
-    return desc.gamma
-
-
 def delta_bar(config, gamma):
     """Upper bound Pr(B < cos^2 theta*) on the limiting relative error.
 
@@ -425,9 +424,14 @@ def p_bounds(config, law, c):
     Valid for large c in the regularly varying regime; reports flag rows
     where the lower bound has not yet become valid.
     """
-    gamma = _rv_gamma(law)
+    desc = law.class_descriptor()
+    if not desc.regularly_varying:
+        raise UnsupportedLawError(
+            f"{law.family} is not regularly varying; "
+            "the limiting relative error is defined for regularly varying laws only"
+        )
     tube = p_tube(config, law, c)
-    return (1.0 - delta_bar(config, gamma)) * tube, tube
+    return (1.0 - delta_bar(config, desc.gamma)) * tube, tube
 
 
 # ----------------------------------------------------------------------
@@ -435,13 +439,13 @@ def p_bounds(config, law, c):
 # ----------------------------------------------------------------------
 
 def _check_d_k_args(n, k, theta, c):
-    """Refuse the (k, theta, c) that neither D_k function defines, NaN included."""
-    if not c > 0.0:
-        raise ValueError("threshold must be positive")
+    """(theta, c) as floats; refuses what neither D_k function defines, NaN included."""
+    theta, c = _as_real("theta", theta), _positive_threshold(c)
     if not 1 <= k <= n - 1:
         raise ValueError("k must satisfy 1 <= k <= n - 1")
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError("theta must lie in [0, pi/2]")
+    return theta, c
 
 
 def d_k_quadrature(law, n, k, theta, c):
@@ -453,7 +457,7 @@ def d_k_quadrature(law, n, k, theta, c):
     where the range is empty.  Raises ``FloatingPointError`` when tail(c^2)
     underflows to 0 at theta < pi/2.
     """
-    _check_d_k_args(n, k, theta, c)
+    theta, c = _check_d_k_args(n, k, theta, c)
     if theta >= math.pi / 2.0:
         return 0.0
     denom = float(law.tail(c * c))
@@ -464,13 +468,14 @@ def d_k_quadrature(law, n, k, theta, c):
 
 
 def _laplace_rate(law, desc, c):
-    """Threshold c / sqrt(scale) of the base family and the Laplace rate
-    b = c_adj^(2 (1 - beta)) ell0(c_adj^2) of the expansion in that regime."""
+    """Laplace rate b = c_adj^(2 (1 - beta)) ell0(h), h = c_adj^2, c_adj = c / sqrt(scale);
+    the one gate of the expansions: refuses h < 1 and b not positive (NaN included)."""
     c_adj = c / math.sqrt(law.scale)
-    b = c_adj ** (2.0 * (1.0 - desc.beta)) * desc.ell0(c_adj**2)
-    if b <= 0.0:
+    h = c_adj**2
+    b = c_adj ** (2.0 * (1.0 - desc.beta)) * desc.ell0(h)
+    if h < 1.0 or not b > 0.0:
         raise ValueError("threshold too small for the asymptotic expansion")
-    return c_adj, b
+    return b
 
 
 def d_k_asymptotic(law, n, k, theta, c):
@@ -478,11 +483,11 @@ def d_k_asymptotic(law, n, k, theta, c):
 
     Regularly varying laws give a c-free beta probability; otherwise the
     Laplace-type expansion applies, with the boundary case theta = 0
-    handled by its own power-of-b formula.  Thresholds are first rescaled
-    by 1/sqrt(scale) so the base-family closed forms apply.  +0.0 for
-    theta >= pi/2, where the range is empty.
+    handled by its own power-of-b formula.  Both take b from the gate
+    ``_laplace_rate``, which refuses a threshold below the expansion's
+    range.  +0.0 for theta >= pi/2, where the range is empty.
     """
-    _check_d_k_args(n, k, theta, c)
+    theta, c = _check_d_k_args(n, k, theta, c)
     if theta >= math.pi / 2.0:
         return 0.0
     desc = law.class_descriptor()
@@ -494,13 +499,13 @@ def d_k_asymptotic(law, n, k, theta, c):
             _sci_special.betaln(gamma + p, q) - _sci_special.betaln(p, q)
         )
         return a_gk * float(_sci_special.betainc(gamma + p, q, cos_sq))
-    c_adj, b = _laplace_rate(law, desc, c)
+    b = _laplace_rate(law, desc, c)
     if theta == 0.0:
         return math.gamma(q) / (_sci_special.beta(p, q) * b**q)
     return (
         math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)
-        * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(c_adj**2, cos_sq))
+        * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(cos_sq))
         / (_sci_special.beta(p, q) * b)
     )
 
@@ -512,7 +517,8 @@ def log_delta_asymptotic(config, law, c):
     law's closed-form slowly varying correction and the configuration's
     critical radius, multiplicity and point count.  Only defined for laws
     that are not regularly varying; regularly varying laws have a
-    nonvanishing limit, see ``delta_rv_limit``.
+    nonvanishing limit, see ``delta_rv_limit``.  ``_laplace_rate`` gates
+    the threshold, as for ``d_k_asymptotic``.
     """
     desc = law.class_descriptor()
     if desc.regularly_varying:
@@ -522,16 +528,15 @@ def log_delta_asymptotic(config, law, c):
         )
     if config.n_points < 2:
         raise ValueError("the prediction requires at least two points")
-    if not c > 0.0:
-        raise ValueError("threshold must be positive")
+    c = _positive_threshold(c)
     n = config.dim
     theta = config.theta_star
     cos_sq = math.cos(theta) ** 2
-    c_adj, b = _laplace_rate(law, desc, c)
+    b = _laplace_rate(law, desc, c)
     return (
         -b * g_beta(desc.beta, cos_sq)
         - 0.5 * math.log(b)
-        - law.r_beta(c_adj**2, cos_sq)
+        - law.r_beta(cos_sq)
         + n * (1.0 - desc.beta) * math.log(math.cos(theta))
         - math.log(2.0 * math.sqrt(math.pi) * math.tan(theta))
         + math.log(config.multiplicity / config.n_points)
@@ -572,6 +577,7 @@ def solve_threshold(config, law, target, method="tube"):
     when the tail bound cannot place the root below it.  Raises
     ``FloatingPointError`` when P underflows to 0 at a point of the search.
     """
+    target = _as_real("target", target)
     if method == "tube":
         prob = p_tube
     elif method == "exact":

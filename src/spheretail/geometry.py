@@ -146,11 +146,6 @@ class PointConfiguration:
     def dim(self):
         return self.points.shape[1]
 
-    @property
-    def is_degenerate(self):
-        """True for a single point, where the critical radius is conventional."""
-        return self.n_points == 1
-
     @cached_property
     def rho_star(self):
         """Largest off-diagonal correlation; None for a single point."""
@@ -162,13 +157,13 @@ class PointConfiguration:
     @cached_property
     def cos_sq_theta_star(self):
         """cos^2 of the critical radius, (1 + rho*) / 2; 0 for a single point."""
-        if self.is_degenerate:
+        if self.n_points < 2:
             return 0.0
         return (1.0 + self.rho_star) / 2.0
 
     @cached_property
     def theta_star(self):
-        """Critical radius arccos sqrt(cos^2 theta*); pi/2 when degenerate."""
+        """Critical radius arccos sqrt(cos^2 theta*); pi/2 for a single point."""
         return math.acos(math.sqrt(self.cos_sq_theta_star))
 
     @property

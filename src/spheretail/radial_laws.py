@@ -146,14 +146,12 @@ class RadialLaw:
     def class_descriptor(self):
         raise NotImplementedError
 
-    def r_beta(self, h, y):
-        """Closed-form limit of the slowly-varying correction term.
+    def r_beta(self, y):
+        """Closed-form limit of the slowly-varying correction term at y in (0, 1].
 
-        Defined per family; equals 0 at ``y = 1`` and is evaluated at the
-        asymptotic limit (the ``h`` dependence has already been taken).
+        Defined per family; equals 0 at ``y = 1``.  It takes no threshold:
+        where the expansion applies is decided by ``excursion._laplace_rate``.
         """
-        if h < 1.0:
-            raise ValueError("h must be >= 1")
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0.0) or np.any(y > 1.0):
             raise ValueError("y must lie in (0, 1]")

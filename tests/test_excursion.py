@@ -27,6 +27,7 @@ from spheretail import (
     delta_bar,
     delta_exact,
     delta_rv_limit,
+    estimate_delta,
     log_delta_asymptotic,
     marginal_tail,
     p_bounds,
@@ -36,6 +37,7 @@ from spheretail import (
     solve_threshold,
     tail_dependence,
 )
+from spheretail import cli
 from spheretail.cli import REPRODUCE_CASES
 
 from conftest import psi_angle_oracle, random_config
@@ -764,6 +766,116 @@ class TestLogDeltaAsymptotic:
     def test_nan_threshold_rejected(self, benchmark_config, gauss_law):
         with pytest.raises(ValueError, match="threshold must be positive"):
             log_delta_asymptotic(benchmark_config, gauss_law, math.nan)
+
+
+class TestLaplaceGate:
+    """``_laplace_rate`` alone decides where the sub-exponential expansions
+    apply: h = c^2 / scale >= 1 and a positive rate b."""
+
+    TOO_SMALL = "threshold too small for the asymptotic expansion"
+
+    # c grids across h = 1 and, for each law, the thresholds the gate refuses
+    REFUSED = [
+        # D_1(0, 0.5) read 4.000000000000001, above the bound 1 of the ratio,
+        # where D_1(0.3, 0.5) was refused
+        (ChiSquare(3.0), [0.25, 0.5, 0.75, 1.0, 1.25, 2.0], [0.25, 0.5, 0.75]),
+        # b = log h is 0 at h = 1, so c = 1 is refused too
+        (LogNormal(), [0.25, 0.5, 0.75, 1.0, 1.25, 2.0], [0.25, 0.5, 0.75, 1.0]),
+        # h = 4 c^2 reaches 1 at c = 0.5
+        (Bessel(3.0, 4.0, scale=0.25), [0.25, 0.4, 0.5, 0.75, 1.0], [0.25, 0.4]),
+    ]
+
+    def test_h_below_one_is_refused(self):
+        # once "h must be >= 1" from RadialLaw.r_beta(h, y), which now takes y only
+        law = ChiSquare(3.0)
+        desc = law.class_descriptor()
+        for c in (math.sqrt(0.5), 0.999999, math.nan):
+            with pytest.raises(ValueError, match=self.TOO_SMALL):
+                excursion._laplace_rate(law, desc, c)
+        # h = 1 is the first threshold in range, where b = h / 2
+        assert excursion._laplace_rate(law, desc, 1.0) == 0.5
+
+    @pytest.mark.parametrize(
+        "law, grid, refused", REFUSED, ids=["chi_square", "log_normal", "bessel"]
+    )
+    def test_every_expansion_refuses_the_same_thresholds(
+        self, benchmark_config, law, grid, refused
+    ):
+        def refuses(function, c):
+            try:
+                function(c)
+            except ValueError as error:
+                assert str(error) == self.TOO_SMALL
+                return True
+            return False
+
+        evaluations = {
+            "d_k theta = 0": lambda c: d_k_asymptotic(law, 3, 1, 0.0, c),
+            "d_k theta = 0.3": lambda c: d_k_asymptotic(law, 3, 1, 0.3, c),
+            "log_delta": lambda c: log_delta_asymptotic(benchmark_config, law, c),
+        }
+        for name, function in evaluations.items():
+            assert [c for c in grid if refuses(function, c)] == refused, name
+
+    @pytest.mark.parametrize("case, flagged", [
+        ("lognormal", []), ("bessel", []), ("gauss", [0.5, 0.75]),
+    ])
+    def test_reproduce_rows_without_a_prediction(self, benchmark_config, case, flagged):
+        law = REPRODUCE_CASES[case]["law"]
+        grid = cli._build_grid(*REPRODUCE_CASES[case]["grid"])
+        reports = [build_report(benchmark_config, law, c) for c in grid]
+        assert [r.c for r in reports if r.flags == "pred_unavailable"] == flagged
+        assert all(r.flags == "" for r in reports if r.c not in flagged)
+
+
+# every analytic entry point that takes a threshold c, as f(config, law, c)
+THRESHOLD_READERS = {
+    "marginal_tail": lambda config, law, c: marginal_tail(law, config.dim, c),
+    "p_tube": p_tube,
+    "p_exact": p_exact,
+    "delta_exact": delta_exact,
+    "build_report": lambda config, law, c: build_report(config, law, c).delta_prediction,
+    "d_k_quadrature": lambda config, law, c: d_k_quadrature(law, config.dim, 1, 0.3, c),
+    "d_k_asymptotic": lambda config, law, c: d_k_asymptotic(law, config.dim, 1, 0.3, c),
+    "log_delta_asymptotic": log_delta_asymptotic,
+    "estimate_delta": lambda config, law, c: estimate_delta(config, law, c, 10**5, 1),
+}
+
+
+class TestRealThresholds:
+    """A threshold, an angle and a target are read by the package's one
+    real-number rule, ``radial_laws._as_real``: bools, strings and arrays are
+    refused, and numpy and integer scalars read as the equal float."""
+
+    NOT_REAL = [True, "3", np.array([3.0]), None]
+
+    @pytest.mark.parametrize("reader", sorted(THRESHOLD_READERS))
+    @pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+    def test_a_threshold_that_is_not_a_number_is_refused(
+        self, benchmark_config, gauss_law, reader, value
+    ):
+        # True once read as c = 1, and an array raised a TypeError
+        with pytest.raises(ValueError, match="^threshold must be a number, got "):
+            THRESHOLD_READERS[reader](benchmark_config, gauss_law, value)
+
+    @pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+    def test_an_angle_or_target_that_is_not_a_number_is_refused(
+        self, benchmark_config, gauss_law, value
+    ):
+        for d_k in (d_k_quadrature, d_k_asymptotic):
+            with pytest.raises(ValueError, match="^theta must be a number, got "):
+                d_k(gauss_law, 3, 1, value, 4.0)
+        with pytest.raises(ValueError, match="^target must be a number, got "):
+            solve_threshold(benchmark_config, gauss_law, value)
+
+    @pytest.mark.parametrize("reader", sorted(THRESHOLD_READERS))
+    def test_numpy_and_integer_thresholds_read_as_the_equal_float(
+        self, benchmark_config, gauss_law, reader
+    ):
+        read = THRESHOLD_READERS[reader]
+        expected = read(benchmark_config, gauss_law, 3.0)
+        for value in (np.float64(3.0), np.int64(3), 3):
+            assert read(benchmark_config, gauss_law, value) == expected
 
 
 class TestThresholdSolving:

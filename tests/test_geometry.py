@@ -197,7 +197,7 @@ class TestCriticalRadius:
 
     def test_degenerate_single_point(self):
         config = PointConfiguration.from_points([[0.0, 0.0, 1.0]])
-        assert config.is_degenerate
+        assert config.rho_star is None
         assert config.cos_sq_theta_star == 0.0
         assert config.theta_star == math.pi / 2.0
         assert config.tan_theta_star == math.inf
