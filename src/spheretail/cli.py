@@ -390,7 +390,7 @@ def run(argv=None):
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

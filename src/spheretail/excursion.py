@@ -39,9 +39,12 @@ rows unprojected.  The averages are linear in the interpolant's cubic
 pieces: power moments of the directions' offsets within each piece are
 accumulated once per configuration (and kept for the last four
 configurations; at n = 10, N = 1000 one set holds 131 MB), and every
-average is then one dot product with the piece coefficients.  Thresholds
-are solved on log P(c) by steps steered by the radial law's scalar tail,
-so that a solve builds few mixtures.
+average is then one dot product with the piece coefficients.  The spline
+is transient: a row's three numbers (P_tube, P_tube - P, standard error)
+are kept per (configuration, law, c), for the last four, and the marginal
+reads only the cumulative's total.  Thresholds are solved on log P(c) by
+steps steered by the radial law's scalar tail, so that a solve builds few
+mixtures.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -207,23 +210,12 @@ def _hermite_pieces(plan, y, dydx):
     return coef.ravel()
 
 
-class _BetaMixture(NamedTuple):
-    """Cumulative integral a -> int_0^a tail(c^2 / y) dBeta_{1/2,(n-1)/2}(y),
-    built once per (law, n, c) by ``_mixture`` and kept as the pieces of its
-    monotone (PCHIP) interpolant in psi."""
-
-    coef: np.ndarray  # piece coefficients on the full psi grid, from ``_hermite_pieces``
-    total: float      # the integral over all of (0, 1]
-
-
-@lru_cache(maxsize=64)
-def _mixture(law, n, c):
-    plan = _plan(n, 1, math.pi / 2.0)
-    cum = _cumulative_mixture(law, plan, c)
+def _pchip_pieces(plan, cum):
+    """``_hermite_pieces`` of the monotone (PCHIP) interpolant of a cumulative
+    mixture on the grid of ``plan``, as ``PchipInterpolator`` forms them."""
     # flat stretches of cum divide by zero secants; PCHIP gives them slope 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        coef = _hermite_pieces(plan, cum, _pchip_slopes(plan, cum))
-    return _BetaMixture(coef, float(cum[-1]))
+        return _hermite_pieces(plan, cum, _pchip_slopes(plan, cum))
 
 
 def marginal_tail(law, n, c):
@@ -242,7 +234,7 @@ def marginal_tail(law, n, c):
         return 0.5
     if c < 0.0:
         return 1.0 - marginal_tail(law, n, -c)
-    return 0.5 * _mixture(law, n, c).total
+    return 0.5 * float(_cumulative_mixture(law, _plan(n, 1, math.pi / 2.0), c)[-1])
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +258,8 @@ def _profile_moments(config):
     piece j of the psi grid, at offset s = x - psi_j.  Any cubic spline on
     that grid then averages over the directions of point i as
     ``per_point[i] @ coef`` (coefficients from ``_hermite_pieces``), and for n > 3
-    its square sums over all directions through ``pooled``.
+    its square sums over all directions through ``pooled``.  A mixture's
+    spline is read once through these moments and dropped; they are kept.
     """
     plan = _plan(config.dim, 1, math.pi / 2.0)
     pieces = plan.h.size
@@ -311,8 +304,10 @@ def p_tube(config, law, c):
     return config.n_points * marginal_tail(law, config.dim, c)
 
 
-def _tube_and_corrections(config, law, c):
-    """P_tube, the correction sum P_tube - P, and its standard error.
+@lru_cache(maxsize=4)
+def _evaluation(config, law, c):
+    """P_tube, the correction sum P_tube - P, and its standard error at c
+    as ``_positive_threshold`` read it (so ``True`` never meets a cached 1.0).
 
     Everything comes from the one mixture of (law, n, c): its total gives
     the tube sum, and its interpolant's pieces, applied to the precomputed
@@ -321,9 +316,10 @@ def _tube_and_corrections(config, law, c):
     the iid standard error of those direction averages (zero on the
     deterministic n <= 3 paths).
     """
-    c = _positive_threshold(c)
-    tube = p_tube(config, law, c)
-    coef = _mixture(law, config.dim, c).coef
+    plan = _plan(config.dim, 1, math.pi / 2.0)
+    cum = _cumulative_mixture(law, plan, c)
+    tube = config.n_points * (0.5 * float(cum[-1]))
+    coef = _pchip_pieces(plan, cum)
     moments = _profile_moments(config)
     means = 0.5 * (moments.per_point @ coef)
     corrections = float(np.sum(means))
@@ -362,7 +358,7 @@ def p_exact(config, law, c, with_se=False):
     Monte Carlo standard error of the direction average (zero on the
     deterministic n <= 3 paths).
     """
-    tube, corrections, se = _tube_and_corrections(config, law, c)
+    tube, corrections, se = _evaluation(config, law, _positive_threshold(c))
     value = tube - corrections
     return (value, se) if with_se else value
 
@@ -372,7 +368,8 @@ def delta_exact(config, law, c):
 
     Raises ``FloatingPointError`` when P_tube underflows to 0.
     """
-    tube, corrections, _ = _tube_and_corrections(config, law, c)
+    c = _positive_threshold(c)
+    tube, corrections, _ = _evaluation(config, law, c)
     return _relative_error(tube, corrections, c)
 
 
@@ -384,7 +381,7 @@ def delta_rv_limit(config, gamma):
     point.  The distribution function enters as its cubic Hermite
     interpolant on the psi grid, with the exact density as slope, averaged
     through the direction moments.  Zero for a single point.  Built once per
-    (config, gamma), as the mixtures are per (law, n, c).
+    (config, gamma), as the evaluations are per (config, law, c).
     """
     if not 0.0 < gamma < math.inf:
         raise UnsupportedLawError("the limiting error requires a finite positive index")
@@ -501,8 +498,8 @@ def d_k_asymptotic(law, n, k, theta, c):
         return a_gk * float(_sci_special.betainc(gamma + p, q, cos_sq))
     b = _laplace_rate(law, desc, c)
     if theta == 0.0:
-        return math.gamma(q) / (_sci_special.beta(p, q) * b**q)
-    return (
+        return float(math.gamma(q) / (_sci_special.beta(p, q) * b**q))
+    return float(
         math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)
         * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(cos_sq))
@@ -533,7 +530,7 @@ def log_delta_asymptotic(config, law, c):
     theta = config.theta_star
     cos_sq = math.cos(theta) ** 2
     b = _laplace_rate(law, desc, c)
-    return (
+    return float(
         -b * g_beta(desc.beta, cos_sq)
         - 0.5 * math.log(b)
         - law.r_beta(cos_sq)
@@ -689,7 +686,8 @@ def build_report(config, law, c):
 
     Raises ``FloatingPointError`` when P_tube underflows to 0.
     """
-    tube, corrections, _ = _tube_and_corrections(config, law, c)
+    c = _positive_threshold(c)
+    tube, corrections, _ = _evaluation(config, law, c)
     exact = tube - corrections
     delta = _relative_error(tube, corrections, c)
     flags = []

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import _check_tube, p_tube
+from .radial_laws import _as_real
 
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
@@ -130,9 +131,9 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     grid by binary search and exceedance counts accumulate per grid point.
     Standard errors are the binomial sqrt(p(1-p)/trials).
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or c_grid.size == 0:
+    if np.ndim(c_grid) != 1 or len(c_grid) == 0:
         raise ValueError("c_grid must be a nonempty 1-d array")
+    c_grid = np.array([_as_real("threshold", c) for c in c_grid])
     if not np.all(np.diff(c_grid) > 0.0):
         raise ValueError("c_grid must be strictly increasing")
     if not np.all(c_grid > 0.0):

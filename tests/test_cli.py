@@ -497,10 +497,10 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
 
 
 # sha256 of each reproduce CSV at its preset grid, trials and seed, as the CI
-# workflow also checks the installed gauss run.  The bytes rest on the BLAS
-# that forms the matrix products, as TestFrozenBits's do, so another host may
-# differ (ROADMAP, known risks); such a difference is a finding, not a reason
-# to re-pin.
+# workflow also checks for each run of the installed console script.  The
+# bytes rest on the BLAS that forms the matrix products, as TestFrozenBits's
+# do, so another host may differ (ROADMAP, known risks); such a difference is
+# a finding, not a reason to re-pin.
 PINNED_REPRODUCE = {
     "t": "23c26420fdb490a4d7c15b602131ddd7b1bc6aa8deec2a39e24f4512364f53f0",
     "lognormal": "8f36c359cbee227136a22a47a0619df5a8acf4b74735e7a12311050390750f17",

@@ -100,21 +100,6 @@ class TestMarginalTail:
         with pytest.raises(ValueError, match="^threshold must not be NaN$"):
             marginal_tail(t_law, 3, math.nan)
 
-    def test_mixture_cache_stays_small(self):
-        # each cached mixture holds 4 x 4096 coefficients (128 KiB); a process
-        # that evaluates many distinct thresholds keeps at most 64 of them
-        law = ChiSquare(3.0)
-        excursion._mixture.cache_clear()
-        tracemalloc.start()
-        try:
-            for c in np.linspace(1.0, 8.0, 600):
-                marginal_tail(law, 3, float(c))
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-            excursion._mixture.cache_clear()
-        assert held < 10 * 2**20
-
     def test_f_radial_dimension_two(self):
         law = FDist(2.0, 3.0)
         for c in (0.5, 2.0):
@@ -198,6 +183,39 @@ class TestPExact:
         value, se = p_exact(benchmark_config, t_law, 2.0, with_se=True)
         assert se == 0.0
         assert value == pytest.approx(p_exact(benchmark_config, t_law, 2.0))
+
+    def test_evaluation_cache_stays_small(self, benchmark_config):
+        # a mixture's PCHIP pieces (4 x 4096 coefficients, 128 KiB) are dropped
+        # after each evaluation; a process that evaluates many distinct
+        # thresholds keeps three numbers for each of the last four
+        law = ChiSquare(3.0)
+        p_exact(benchmark_config, law, 0.5)  # the plan and the direction moments
+        tracemalloc.start()
+        try:
+            for c in np.linspace(1.0, 8.0, 600):
+                p_exact(benchmark_config, law, float(c))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 2**10
+
+    def test_one_build_per_row(self, benchmark_config):
+        # a row reads P, its standard error and Delta at one c: one mixture build
+        law = counting_law(ChiSquare(3.0))
+        build_report(benchmark_config, law, 2.5)
+        delta_exact(benchmark_config, law, 2.5)
+        p_exact(benchmark_config, law, 2.5, with_se=True)
+        assert type(law).builds == 1
+
+    def test_tube_sums_form_no_pchip_pieces(self, benchmark_config, monkeypatch):
+        def refuse(plan, y):
+            raise AssertionError("PCHIP slopes formed for a tube sum")
+
+        monkeypatch.setattr(excursion, "_pchip_slopes", refuse)
+        law = ChiSquare(3.0)
+        assert marginal_tail(law, 3, 2.0) > 0.0
+        assert p_tube(benchmark_config, law, 2.0) > 0.0
+        assert solve_threshold(benchmark_config, law, 1e-3, method="tube") > 0.0
 
     def test_dimension_two_enumeration_path(self):
         # orthogonal pair in the plane with a gaussian radial: independent
@@ -286,15 +304,23 @@ def scipy_pieces(spline):
     return spline.c[::-1].ravel()
 
 
-class CountingLaw:
-    """A radial law that counts its ``tail`` calls."""
+def counting_law(preset):
+    """``preset`` as an instance of a new subclass that counts its ``tail``
+    calls: ``builds`` the array calls, one per mixture build, and
+    ``arguments`` the scalar calls by argument."""
+    base = type(preset)
 
-    def __init__(self, law):
-        self.law, self.calls = law, 0
+    def tail(law, x):
+        if np.ndim(x) == 0:
+            type(law).arguments[float(x)] += 1
+        else:
+            type(law).builds += 1
+        return base.tail(law, x)
 
-    def tail(self, x):
-        self.calls += 1
-        return self.law.tail(x)
+    counting = type("Counting" + base.__name__, (base,), {
+        "tail": tail, "builds": 0, "arguments": collections.Counter(),
+    })
+    return counting(**dataclasses.asdict(preset))
 
 
 class TestScipyBitIdentity:
@@ -308,20 +334,23 @@ class TestScipyBitIdentity:
                 psi, cum = scipy_cumulative(law, n, 1, c, math.pi / 2.0)
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     coef = scipy_pieces(PchipInterpolator(psi, cum))
-                mixture = excursion._mixture.__wrapped__(law, n, c)
-                assert np.array_equal(mixture.coef, coef), (n, c)
-                assert mixture.total == float(cum[-1]), (n, c)
+                plan = excursion._plan(n, 1, math.pi / 2.0)
+                built = excursion._cumulative_mixture(law, plan, c)
+                assert np.array_equal(built, cum), (n, c)
+                assert np.array_equal(excursion._pchip_pieces(plan, built), coef), (n, c)
+                assert marginal_tail(law, n, c) == 0.5 * float(cum[-1]), (n, c)
 
     def test_vanishing_tails_give_a_flat_cumulative(self, gauss_law):
         # every Gaussian tail(1600 / y) is 0: a flat cumulative takes PCHIP's
         # zero-slope branch at every node, with no RuntimeWarning (an error here)
-        mixture = excursion._mixture.__wrapped__(gauss_law, 3, 40.0)
+        plan = excursion._plan(3, 1, math.pi / 2.0)
+        pieces = excursion._pchip_pieces(plan, excursion._cumulative_mixture(gauss_law, plan, 40.0))
         psi, cum = scipy_cumulative(gauss_law, 3, 1, 40.0, math.pi / 2.0)
         assert not cum.any()
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = scipy_pieces(PchipInterpolator(psi, cum))
-        assert np.array_equal(mixture.coef, coef)
-        assert mixture.total == 0.0 and not mixture.coef.any()
+        assert np.array_equal(pieces, coef)
+        assert marginal_tail(gauss_law, 3, 40.0) == 0.0 and not pieces.any()
 
     @pytest.mark.parametrize("law", BIT_LAWS, ids=lambda law: law.family)
     def test_d_k_quadrature_is_cumulative_simpson(self, law):
@@ -345,13 +374,17 @@ class TestScipyBitIdentity:
             expected = max(float(np.sum(per_point @ coef)) / config.n_points, 0.0)
             assert excursion._rv_limit.__wrapped__(config, gamma) == expected
 
-    def test_one_tail_call_per_build(self, gauss_law):
-        law = CountingLaw(gauss_law)
-        excursion._mixture.__wrapped__(law, 3, 2.0)
-        assert law.calls == 1
-        law.calls = 0
-        d_k_quadrature(law, 3, 1, 0.3, 2.0)
-        assert law.calls == 2  # the build and the divisor tail(c^2)
+    def test_one_tail_call_per_build(self, single_point, gauss_law):
+        for build in (
+            lambda law: excursion._evaluation.__wrapped__(single_point, law, 2.0),
+            lambda law: marginal_tail(law, 3, 2.0),
+            lambda law: d_k_quadrature(law, 3, 1, 0.3, 2.0),
+        ):
+            law = counting_law(gauss_law)
+            build(law)
+            assert type(law).builds == 1
+        # d_k_quadrature's divisor tail(c^2)
+        assert type(law).arguments == {4.0: 1}
 
     def test_plan_arrays_are_read_only(self):
         full = excursion._plan(3, 1, math.pi / 2.0)
@@ -817,6 +850,16 @@ class TestLaplaceGate:
         for name, function in evaluations.items():
             assert [c for c in grid if refuses(function, c)] == refused, name
 
+    @pytest.mark.parametrize(
+        "law", [law for law, _, _ in REFUSED] + [FDist(3.0, 3.0)], ids=lambda law: law.family
+    )
+    def test_expansions_return_python_floats(self, benchmark_config, law):
+        # the sub-exponential branches returned numpy.float64
+        values = [d_k_asymptotic(law, 3, 1, theta, 4.0) for theta in (0.0, 0.3)]
+        if not law.class_descriptor().regularly_varying:
+            values.append(log_delta_asymptotic(benchmark_config, law, 4.0))
+        assert [type(value) for value in values] == [float] * len(values)
+
     @pytest.mark.parametrize("case, flagged", [
         ("lognormal", []), ("bessel", []), ("gauss", [0.5, 0.75]),
     ])
@@ -857,6 +900,14 @@ class TestRealThresholds:
         # True once read as c = 1, and an array raised a TypeError
         with pytest.raises(ValueError, match="^threshold must be a number, got "):
             THRESHOLD_READERS[reader](benchmark_config, gauss_law, value)
+
+    @pytest.mark.parametrize("reader", ["p_exact", "delta_exact", "build_report"])
+    def test_true_is_refused_after_one(self, benchmark_config, gauss_law, reader):
+        # True == 1.0 and hash(True) == hash(1.0): the cached evaluation at
+        # c = 1.0 must not answer for True
+        THRESHOLD_READERS[reader](benchmark_config, gauss_law, 1.0)
+        with pytest.raises(ValueError, match="^threshold must be a number, got True$"):
+            THRESHOLD_READERS[reader](benchmark_config, gauss_law, True)
 
     @pytest.mark.parametrize("value", NOT_REAL, ids=repr)
     def test_an_angle_or_target_that_is_not_a_number_is_refused(
@@ -912,16 +963,16 @@ class TestThresholdSolving:
         # the search covers all c > 0: a law with its mass near 0 has its
         # threshold there, and P scales with the law, so c scales by sqrt(1e-12)
         c_unit = solve_threshold(benchmark_config, LogNormal(scale=1.0), 0.3, method="tube")
-        excursion._mixture.cache_clear()
-        c = solve_threshold(benchmark_config, LogNormal(scale=1e-12), 0.3, method="tube")
-        assert excursion._mixture.cache_info().misses <= 5
+        law = counting_law(LogNormal(scale=1e-12))
+        c = solve_threshold(benchmark_config, law, 0.3, method="tube")
+        assert type(law).builds <= 5
         assert c == pytest.approx(1e-6 * c_unit, rel=1e-9)
         # F(3, 0.01) still exceeds the target at c = 2^200, which the tail
         # bound cannot rule out: that end is checked before the search starts
-        excursion._mixture.cache_clear()
+        law = counting_law(FDist(3.0, 0.01))
         with pytest.raises(ValueError, match="failed to bracket the threshold"):
-            solve_threshold(benchmark_config, FDist(3.0, 0.01), 0.1, method="tube")
-        assert excursion._mixture.cache_info().misses <= 1
+            solve_threshold(benchmark_config, law, 0.1, method="tube")
+        assert type(law).builds <= 1
 
     @pytest.mark.parametrize("method", ["tube", "exact"])
     @pytest.mark.parametrize("law", [MIXTURE_LAWS[i] for i in (0, 2, 3, 4)],
@@ -945,10 +996,10 @@ class TestThresholdSolving:
 
     @pytest.mark.parametrize("method", ["tube", "exact"])
     def test_single_point_target_above_half_is_refused_up_front(self, single_point, method):
-        excursion._mixture.cache_clear()
+        law = counting_law(ChiSquare(3.0))
         with pytest.raises(ValueError, match=r"not attainable \(must lie in \(0, 0\.5\)\)"):
-            solve_threshold(single_point, ChiSquare(3.0), 0.50000001, method=method)
-        assert excursion._mixture.cache_info().misses == 1
+            solve_threshold(single_point, law, 0.50000001, method=method)
+        assert type(law).builds == 1
 
     def test_unknown_method(self, benchmark_config, t_law):
         with pytest.raises(ValueError, match="method"):
@@ -974,11 +1025,9 @@ class TestThresholdSolving:
     @pytest.mark.parametrize("method", ["tube", "exact"])
     @pytest.mark.parametrize("case", sorted(REPRODUCE_CASES))
     def test_few_mixture_builds_and_brent_accuracy(self, benchmark_config, case, method, target):
-        law = REPRODUCE_CASES[case]["law"]
-        excursion._mixture.cache_clear()
+        law = counting_law(REPRODUCE_CASES[case]["law"])
         c = solve_threshold(benchmark_config, law, target, method=method)
-        builds = excursion._mixture.cache_info().misses
-        assert builds <= (6 if target <= 0.1 else 8)
+        assert type(law).builds <= (6 if target <= 0.1 else 8)
         prob = p_tube if method == "tube" else p_exact
 
         def log_excess(x):
@@ -1000,20 +1049,11 @@ class TestThresholdSolving:
     @pytest.mark.parametrize("method", ["tube", "exact"])
     @pytest.mark.parametrize("case, target", sorted(BENCHMARK_BUILDS))
     def test_guide_reads_each_argument_once(self, benchmark_config, case, target, method):
-        arguments = collections.Counter()
         preset = REPRODUCE_CASES[case]["law"]
-
-        def tail(law, x):
-            if np.ndim(x) == 0:
-                arguments[float(x)] += 1
-            return type(preset).tail(law, x)
-
-        counting = type("Counting" + type(preset).__name__, (type(preset),), {"tail": tail})
-        law = counting(**dataclasses.asdict(preset))
-        excursion._mixture.cache_clear()
+        law = counting_law(preset)
         c = solve_threshold(benchmark_config, law, target, method=method)
-        builds = self.BENCHMARK_BUILDS[case, target][method == "exact"]
-        assert excursion._mixture.cache_info().misses == builds
+        assert type(law).builds == self.BENCHMARK_BUILDS[case, target][method == "exact"]
+        arguments = type(law).arguments
         assert arguments and max(arguments.values()) == 1
         assert c == solve_threshold(benchmark_config, preset, target, method=method)
 
@@ -1021,9 +1061,9 @@ class TestThresholdSolving:
         # a model step must land within the search's own 1e-10 c of the root:
         # with find_root stopping at 1e-10 (1 + |t|) in t = log c the step fell
         # 1e-9 c short and the next one bisected, a third build
-        excursion._mixture.cache_clear()
-        c = solve_threshold(benchmark_config, FDist(3.0, 1.0), 1e-6, method="exact")
-        assert excursion._mixture.cache_info().misses == 2
+        law = counting_law(FDist(3.0, 1.0))
+        c = solve_threshold(benchmark_config, law, 1e-6, method="exact")
+        assert type(law).builds == 2
         assert c == pytest.approx(374137.0015836, rel=1e-10)
 
 

@@ -231,6 +231,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="thresholds must be positive"):
             simulate_pmax(benchmark_config, t_law, np.array([np.nan]), 10, seed=0)
 
+    @pytest.mark.parametrize("grid", [[True, 2.0], ["1", "2"], [1.0, None], np.array([True])],
+                             ids=repr)
+    def test_grid_entries_must_be_numbers(self, benchmark_config, t_law, grid):
+        # np.asarray(grid, dtype=float) once simulated [True, 2.0] and
+        # ["1", "2"] at c = 1 and 2
+        with pytest.raises(ValueError, match="^threshold must be a number, got "):
+            simulate_pmax(benchmark_config, t_law, grid, 10, seed=0)
+
     def test_trials_must_be_positive(self, benchmark_config, t_law):
         with pytest.raises(ValueError):
             simulate_pmax(benchmark_config, t_law, np.array([1.0]), 0, seed=0)
