@@ -17,6 +17,12 @@ the rule's averages therefore run on the raw shared Sobol rows, whose
 squared norms are computed once per sample, in blocks of
 ``_BLOCK_DIRECTIONS`` directions, so no (N - 1) x m product is ever held.
 
+The Sobol sample comes from ``_sobol_points``, a numpy generator that equals
+scipy's ``qmc.Sobol(d, scramble=True, seed=_QMC_SEED)`` bit for bit without
+importing ``scipy.stats``.  Its direction numbers, ``_sobol_directions.npy``,
+are Joe & Kuo's new-joe-kuo-6.21201 table as scipy ships it
+(``scipy/stats/_sobol_direction_numbers.npz``), copied once.
+
 Configurations are immutable after construction and every operation is
 pure and deterministic.
 """
@@ -24,6 +30,7 @@ pure and deterministic.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -37,6 +44,9 @@ _PSD_TOL = 1e-10
 PHI_NODES = 4096        # trapezoidal nodes on the normal circle (n = 3)
 QMC_LOG2_POINTS = 14    # Sobol sample size 2^14 for n > 3
 _QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
+_SOBOL_BITS = 30        # bits per Sobol coordinate, as in scipy's qmc.Sobol
+# row d: the primitive polynomial of coordinate d, then its initial direction numbers
+_SOBOL_TABLE = Path(__file__).with_name("_sobol_directions.npy")
 _BLOCK_DIRECTIONS = 2048  # directions per product block of the local-angle kernel
 # a row whose normal part has squared norm at most this share of its own
 # squared norm lies along u_i, to rounding, and has no local angle
@@ -288,22 +298,76 @@ class PointConfiguration:
         return np.outer(np.cos(phi), v0) + np.outer(np.sin(phi), np.cross(u, v0))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _sobol_columns(dim):
     """Read-only scrambled Sobol sample of 2**QMC_LOG2_POINTS normal vectors
     in R^dim, as the columns of a (dim, 2**QMC_LOG2_POINTS) array, and their
     read-only squared norms.
 
-    The seed is fixed, so the sample is drawn once per dimension and shared
-    by every point and configuration.
+    The points are those of ``_sobol_points``, which equals scipy's
+    ``qmc.Sobol(dim, scramble=True, seed=_QMC_SEED)`` on Joe & Kuo's
+    new-joe-kuo-6.21201 direction numbers as scipy ships them, mapped through
+    the normal quantile.  The seed is fixed, so the sample is drawn once per
+    dimension and shared by every point and configuration; samples of two
+    dimensions are kept, as many as a ``highdim`` benchmark pass reads.
     """
-    # imported here: only n > 3 draws the sample, and scipy.stats is the largest
-    # part of the package's import time
-    from scipy.stats import qmc
-
-    sobol = qmc.Sobol(d=dim, scramble=True, seed=_QMC_SEED)
-    columns = np.ascontiguousarray(special.ndtri(sobol.random_base2(QMC_LOG2_POINTS)).T)
+    columns = special.ndtri(_sobol_points(dim, QMC_LOG2_POINTS))
     norms_sq = np.einsum("ij,ij->j", columns, columns)
     columns.setflags(write=False)
     norms_sq.setflags(write=False)
     return columns, norms_sq
+
+
+def _sobol_points(dim, log2_points):
+    """The first 2**log2_points scrambled Sobol points in [0, 1)^dim, as the
+    columns of a (dim, 2**log2_points) array.
+
+    Bit for bit the transpose of scipy's
+    ``qmc.Sobol(dim, scramble=True, seed=_QMC_SEED).random_base2(log2_points)``:
+    the direction numbers of Joe & Kuo (2008, SIAM J. Sci. Comput. 30:2635),
+    a left linear matrix scramble with a digital shift (Matousek 1998), both
+    drawn from ``default_rng(_QMC_SEED)`` in scipy's order, and the points in
+    Gray-code order.  Raises ``ValueError`` beyond the table's dimensions.
+    """
+    # only the first dim rows are read: a memory map costs more to set up
+    with open(_SOBOL_TABLE, "rb") as table_file:
+        np.lib.format.read_magic(table_file)
+        (n_rows, width), _, dtype = np.lib.format.read_array_header_1_0(table_file)
+        if dim > n_rows:
+            raise ValueError(f"Maximum supported dimensionality is {n_rows}.")
+        table = np.fromfile(table_file, dtype=dtype, count=dim * width).reshape(dim, width)
+    # bit k of a number counts from the top: its weight is 2**(_SOBOL_BITS - 1 - k)
+    weights = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    # direction numbers by the recurrence of each row's primitive polynomial,
+    # v_j = v_{j-s} XOR the sum of a_k 2^k v_{j-k} over k = 1 .. s (Bratley &
+    # Fox 1988, sec. 2); the first coordinate's are all 1
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
+    for d, (poly, *row) in enumerate(table[1:].tolist(), start=1):
+        degree = poly.bit_length() - 1
+        del row[degree:]
+        taps = [k for k in range(1, degree + 1) if poly >> (degree - k) & 1]
+        for j in range(degree, _SOBOL_BITS):
+            new = row[j - degree]
+            for k in taps:
+                new ^= row[j - k] << k
+            row.append(new)
+        v[d] = row
+    v *= weights
+    rng = np.random.default_rng(_QMC_SEED)
+    shift = rng.integers(0, 2, (dim, _SOBOL_BITS), dtype=np.uint32) @ weights[::-1]
+    # each coordinate's unit lower-triangular scrambling matrix, row k as a number
+    masks = (np.tril(rng.integers(0, 2, (dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+             | np.eye(_SOBOL_BITS, dtype=np.uint32)) @ weights
+    # the scramble is a product mod 2: bit k of a scrambled number is the
+    # parity of the number AND row k of its matrix
+    parity = masks[:, :, None] & v[:, None, :]
+    for step in (16, 8, 4, 2, 1):
+        parity ^= parity >> step
+    v = ((parity & 1) * weights[:, None]).sum(axis=1, dtype=np.uint32)
+    # Gray-code order: point k is point k - 1 XOR v[:, z], z the lowest zero bit
+    # of k - 1, so points 2**b .. 2**(b+1) - 1 are the first 2**b reversed, XOR v[:, b]
+    points = np.empty((dim, 2 ** log2_points), dtype=np.uint32)
+    points[:, 0] = shift
+    for b in range(log2_points):
+        points[:, 2 ** b:2 ** (b + 1)] = points[:, 2 ** b - 1::-1] ^ v[:, b, None]
+    return points * 2.0 ** -_SOBOL_BITS

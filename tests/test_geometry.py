@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
+from scipy.stats import qmc
 
 from spheretail import PointConfiguration
+from spheretail import geometry
 
 from conftest import equicorrelated, psi_angle_oracle, random_config, sobol_gaussians
 
@@ -368,3 +372,32 @@ class TestNormalSampling:
         phi = np.mod(circle_angles(benchmark_config, 0), 2.0 * math.pi)
         phi[np.isclose(phi, 2.0 * math.pi, rtol=0.0, atol=1e-9)] = 0.0
         assert np.allclose(phi, 2.0 * math.pi * np.arange(4096) / 4096, rtol=0.0, atol=1e-12)
+
+
+def scipy_sobol(dim, log2_points):
+    return qmc.Sobol(d=dim, scramble=True, seed=geometry._QMC_SEED).random_base2(log2_points)
+
+
+class TestSobolPoints:
+    """The numpy generator of the n > 3 sample against scipy's ``qmc.Sobol``."""
+
+    @pytest.mark.parametrize("dim", [4, 5, 6, 10, 20, 31, 64])
+    def test_equals_scipy_sobol(self, dim):
+        points = geometry._sobol_points(dim, geometry.QMC_LOG2_POINTS)
+        assert np.array_equal(points, scipy_sobol(dim, geometry.QMC_LOG2_POINTS).T)
+
+    def test_equals_scipy_sobol_at_the_last_table_row(self):
+        assert np.array_equal(geometry._sobol_points(21201, 2), scipy_sobol(21201, 2).T)
+
+    def test_vendored_table_is_scipys(self):
+        shipped = np.load(Path(scipy.stats.__file__).with_name("_sobol_direction_numbers.npz"))
+        table = np.load(geometry._SOBOL_TABLE)
+        assert table.dtype == np.uint32
+        assert np.array_equal(table[:, 0], shipped["poly"])
+        assert np.array_equal(table[:, 1:], shipped["vinit"])
+
+    def test_beyond_the_table_raises(self):
+        with pytest.raises(ValueError, match="dimensionality is 21201"):
+            qmc.Sobol(d=21202, scramble=True, seed=geometry._QMC_SEED)
+        with pytest.raises(ValueError, match="dimensionality is 21201"):
+            geometry._sobol_points(21202, 2)
