@@ -8,6 +8,10 @@ and BLAS code that releases the interpreter lock) and their results are
 combined in chunk order, so the output is bit-identical whatever the worker
 count, and identical inputs always reproduce identical output.
 
+A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
+max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
+on the raw Gaussian rows, and each trial is scaled once, by sqrt(R**2 / |z|**2).
+
 Every entry point reads its trial count and seed by one rule,
 ``_check_draws``: ``1000.0`` and ``np.int64(1000)`` are the count 1000, and a
 bool, a string or ``None`` is refused.
@@ -30,10 +34,20 @@ __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
 CHUNK_TRIALS = 1 << 14
 
-# draws normalised and maximised over the points at a time: keeps each worker's
-# temporaries (the N x block product above all) small, since memory a worker
-# thread frees stays with its own malloc arena
-_BLOCK_TRIALS = 1 << 10
+# entries of the N x block product that one worker forms at a time: 2 MiB of
+# doubles, since memory a worker thread frees stays with its own malloc arena.
+# A block is the largest power of two of trials within this budget (one block
+# per chunk for N <= 16), because the BLAS product's bits depend on the block
+# size: blocks of 1310 or 655 trials moved them by an ulp, no power of two
+# from 2 to 2**14 did
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _block_trials(n_points):
+    """Trials per block at ``n_points`` points: the largest power of two of at
+    most ``_BLOCK_ENTRIES / n_points``, capped at ``CHUNK_TRIALS``, at least 1."""
+    fitting = max(1, min(CHUNK_TRIALS, _BLOCK_ENTRIES // n_points))
+    return 1 << (fitting.bit_length() - 1)
 
 
 def _check_draws(trials, seed):
@@ -108,11 +122,11 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
     generator = _chunk_generator(seed, chunk_index)
     r_sq = law.sample(generator, size)
     z = generator.standard_normal((size, config.dim))
+    block = _block_trials(len(config.points))
     tmax = np.empty(size)
-    for start in range(0, size, _BLOCK_TRIALS):
-        block = z[start:start + _BLOCK_TRIALS]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-        np.max(config.points @ block.T, axis=0, out=tmax[start:start + _BLOCK_TRIALS])
+    for start in range(0, size, block):
+        np.max(config.points @ z[start:start + block].T, axis=0, out=tmax[start:start + block])
+    r_sq /= np.einsum("ij,ij->i", z, z)
     tmax *= np.sqrt(r_sq, out=r_sq)
     return tmax
 

@@ -516,6 +516,28 @@ def test_reproduce_csvs_are_pinned(tmp_path, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPRODUCE[case]
 
 
+# sha256 of a three-chunk simulate CSV, the last chunk partial, at N = 50
+# points in n = 10 dimensions; the CI workflow checks the same bytes from the
+# installed console script
+PINNED_SIMULATE = "1bb6a771c64ecc211abdd23bef57d0a996c76537d4a14bb75c7e6e72f9274e2c"
+
+
+def test_multi_chunk_simulate_csv_is_pinned(tmp_path):
+    points = np.random.default_rng([10, 50]).standard_normal((50, 10))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "points": points.tolist(),
+        "law": {"family": "f", "nu1": 10.0, "nu2": 3.0},
+        "c_grid": {"start": 0.5, "stop": 4.0, "step": 0.5},
+        "trials": 40000,
+        "seed": 7,
+    }))
+    out = tmp_path / "simulate.csv"
+    assert cli.run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SIMULATE
+
+
 class TestReproduce:
     def test_golden_bit_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -74,18 +74,20 @@ class TestDeterminism:
 
 class TestFrozenBits:
     # sha256 of the draws as computed when the chunks still ran one after
-    # another: no worker count or scheduling may move a bit
+    # another: no worker count or scheduling may move a bit.  The tmax digests
+    # were re-pinned when the maximum came to be scaled once per trial; the
+    # pmax digests did not move
     @pytest.mark.parametrize(
         "n, n_points, law, tmax_digest, pmax_digest",
         [
-            (2, 2, ChiSquare(2.0), "f56fdf4dc1ba616f", "8aee7c28d5689c30"),
-            (2, 2, FDist(3.0, 3.0), "b2e561390380836a", "9c75a8c7ad645fee"),
-            (3, 3, ChiSquare(3.0), "9c30e905a6ad536b", "10291372e50e2b21"),
-            (3, 3, FDist(3.0, 3.0), "550f12bf3337c5a8", "224e62d7cbe3a984"),
-            (5, 10, ChiSquare(5.0), "aa0fa4fd280fbb06", "87c35926077c1911"),
-            (5, 10, FDist(3.0, 3.0), "f4c0e0e53ed92bbb", "0639a24a9799d0d4"),
-            (10, 50, ChiSquare(10.0), "2217316a4ca22cab", "d09427b0e7616464"),
-            (10, 50, FDist(3.0, 3.0), "4d48273c44796cd6", "578bd714a142197e"),
+            (2, 2, ChiSquare(2.0), "11b03d0582f5a5b5", "8aee7c28d5689c30"),
+            (2, 2, FDist(3.0, 3.0), "c30753193b7cc7f0", "9c75a8c7ad645fee"),
+            (3, 3, ChiSquare(3.0), "291e76f9901fd814", "10291372e50e2b21"),
+            (3, 3, FDist(3.0, 3.0), "a6dd0369facb4c02", "224e62d7cbe3a984"),
+            (5, 10, ChiSquare(5.0), "30aa763e0f19a0c2", "87c35926077c1911"),
+            (5, 10, FDist(3.0, 3.0), "f672fa4522a66132", "0639a24a9799d0d4"),
+            (10, 50, ChiSquare(10.0), "1446b5d3bae7c123", "d09427b0e7616464"),
+            (10, 50, FDist(3.0, 3.0), "1f41a130a89719b8", "578bd714a142197e"),
         ],
     )
     def test_digests(self, n, n_points, law, tmax_digest, pmax_digest):
@@ -111,6 +113,39 @@ class TestFrozenBits:
                 assert np.array_equal(sim.estimates, expected[1])
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n, n_points", [(2, 2), (3, 1), (3, 3), (5, 10), (10, 50)])
+    @pytest.mark.parametrize("law", [ChiSquare(3.0), FDist(3.0, 3.0)], ids=repr)
+    def test_scaling_once_matches_normalising_every_coordinate(self, n, n_points, law):
+        # one chunk rebuilt the old way: each row of z normalised before the
+        # product, the maximum scaled by R afterwards
+        config = _random_config(n, n_points)
+        generator = montecarlo._chunk_generator(7, 0)
+        r_sq = law.sample(generator, CHUNK_TRIALS)
+        z = generator.standard_normal((CHUNK_TRIALS, n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        oracle = np.max(config.points @ z.T, axis=0) * np.sqrt(r_sq)
+        tmax = sample_tmax(config, law, CHUNK_TRIALS, seed=7)
+        assert np.all(np.abs(tmax - oracle) <= 4.0 * np.finfo(float).eps * np.sqrt(r_sq))
+
+    @pytest.mark.parametrize("n_points", [1, 3, 50, 1000])
+    def test_block_size_moves_no_estimate(self, monkeypatch, n_points):
+        config, law = _random_config(3, n_points), FDist(3.0, 3.0)
+        trials = 2 * CHUNK_TRIALS + 5
+        expected = None
+        for budget in (1 << 8, 1 << 12, 1 << 18, 1 << 22):
+            monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", budget)
+            estimates = simulate_pmax(config, law, FROZEN_GRID, trials, seed=3).estimates
+            if expected is None:
+                expected = estimates
+            assert np.array_equal(estimates, expected)
+
+    def test_block_sizes(self, monkeypatch):
+        assert [montecarlo._block_trials(n) for n in (1, 16, 17, 50, 1000)] == [
+            CHUNK_TRIALS, CHUNK_TRIALS, 8192, 4096, 256]
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1 << 8)
+        assert [montecarlo._block_trials(n) for n in (1, 3, 256, 257, 1000)] == [
+            256, 64, 1, 1, 1]
 
     def test_chunk_exception_reaches_caller(self, benchmark_config):
         law = _LastChunkFails(3.0)
