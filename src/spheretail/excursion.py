@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sci_special
 
-from .radial_laws import UnsupportedLawError, _as_real, g_beta
+from .radial_laws import UnsupportedLawError, _as_integer, _as_real, g_beta
 from .special_functions import find_root
 
 __all__ = [
@@ -222,9 +222,11 @@ def marginal_tail(law, n, c):
     """Marginal exceedance probability Pr(<u, xi> >= c) of one coordinate.
 
     Uses the beta-mixture representation Pr(R_1 >= c^2) / 2 for ``c > 0``,
-    1/2 at ``c = 0``, and the symmetry Pr >= c = 1 - Pr >= -c for ``c < 0``;
+    1/2 at ``c = 0``, and the symmetry Pr >= c = 1 - Pr >= -c for ``c < 0``.
+    The dimension ``n`` is read by ``_as_integer`` and must be at least 2;
     the threshold is read by ``_as_real``, and NaN is refused.
     """
+    n = _as_integer("ambient dimension", n)
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
     c = _as_real("threshold", c)
@@ -373,6 +375,15 @@ def delta_exact(config, law, c):
     return _relative_error(tube, corrections, c)
 
 
+def _tail_index(gamma):
+    """The tail index gamma as a float by ``_as_real``, finite and positive."""
+    gamma = _as_real("tail index", gamma)
+    if not 0.0 < gamma < math.inf:
+        raise UnsupportedLawError(
+            f"the limiting error and its bound require a finite positive index, got {gamma}")
+    return gamma
+
+
 def delta_rv_limit(config, gamma):
     """Limit of Delta(c) for a regularly varying radial law with index gamma.
 
@@ -381,11 +392,10 @@ def delta_rv_limit(config, gamma):
     point.  The distribution function enters as its cubic Hermite
     interpolant on the psi grid, with the exact density as slope, averaged
     through the direction moments.  Zero for a single point.  Built once per
-    (config, gamma), as the evaluations are per (config, law, c).
+    (config, gamma), as the evaluations are per (config, law, c); gamma is
+    read by ``_tail_index``.
     """
-    if not 0.0 < gamma < math.inf:
-        raise UnsupportedLawError("the limiting error requires a finite positive index")
-    return _rv_limit(config, gamma)
+    return _rv_limit(config, _tail_index(gamma))
 
 
 @lru_cache(maxsize=4)
@@ -407,11 +417,10 @@ def delta_bar(config, gamma):
 
     ``B`` is Beta(gamma + 1/2, (n-1)/2) distributed; the bound depends on
     the configuration only through ``config.cos_sq_theta_star``, read
-    directly to avoid the rounding of the trigonometric round trip.
+    directly to avoid the rounding of the trigonometric round trip.  gamma
+    is read by ``_tail_index``.
     """
-    if not 0.0 < gamma < math.inf:
-        raise UnsupportedLawError("the error bound requires a finite positive index")
-    p, q = gamma + 0.5, (config.dim - 1) / 2.0
+    p, q = _tail_index(gamma) + 0.5, (config.dim - 1) / 2.0
     return float(_sci_special.betainc(p, q, config.cos_sq_theta_star))
 
 
@@ -436,13 +445,15 @@ def p_bounds(config, law, c):
 # ----------------------------------------------------------------------
 
 def _check_d_k_args(n, k, theta, c):
-    """(theta, c) as floats; refuses what neither D_k function defines, NaN included."""
+    """(n, k) as ints by ``_as_integer`` and (theta, c) as floats; refuses what
+    neither D_k function defines, NaN included."""
+    n, k = _as_integer("ambient dimension", n), _as_integer("order k", k)
     theta, c = _as_real("theta", theta), _positive_threshold(c)
     if not 1 <= k <= n - 1:
         raise ValueError("k must satisfy 1 <= k <= n - 1")
     if not 0.0 <= theta <= math.pi / 2.0 + 1e-12:
         raise ValueError("theta must lie in [0, pi/2]")
-    return theta, c
+    return n, k, theta, c
 
 
 def d_k_quadrature(law, n, k, theta, c):
@@ -454,7 +465,7 @@ def d_k_quadrature(law, n, k, theta, c):
     where the range is empty.  Raises ``FloatingPointError`` when tail(c^2)
     underflows to 0 at theta < pi/2.
     """
-    theta, c = _check_d_k_args(n, k, theta, c)
+    n, k, theta, c = _check_d_k_args(n, k, theta, c)
     if theta >= math.pi / 2.0:
         return 0.0
     denom = float(law.tail(c * c))
@@ -484,7 +495,7 @@ def d_k_asymptotic(law, n, k, theta, c):
     ``_laplace_rate``, which refuses a threshold below the expansion's
     range.  +0.0 for theta >= pi/2, where the range is empty.
     """
-    theta, c = _check_d_k_args(n, k, theta, c)
+    n, k, theta, c = _check_d_k_args(n, k, theta, c)
     if theta >= math.pi / 2.0:
         return 0.0
     desc = law.class_descriptor()

@@ -35,6 +35,8 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
+from .radial_laws import _as_integer
+
 __all__ = ["PointConfiguration"]
 
 _UNIT_TOL = 1e-12
@@ -195,6 +197,15 @@ class PointConfiguration:
     # local angles on the normal sphere
     # ------------------------------------------------------------------
 
+    def _point_index(self, i):
+        """Point index i, read by ``_as_integer``, as an int in [0, N); like a
+        sequence index it may lie in -N <= i < N, and ``ValueError`` names it
+        and N otherwise."""
+        i = _as_integer("point index", i)
+        if not -self.n_points <= i < self.n_points:
+            raise ValueError(f"point index {i} is out of range for {self.n_points} points")
+        return i % self.n_points
+
     def cos_sq_local_angle(self, i, directions):
         """cos^2 of the local angle at point i for an array of directions.
 
@@ -205,13 +216,15 @@ class PointConfiguration:
         over the other points, with the largest cotangent floored at 0: a
         direction that no other point lies ahead of, and every direction of
         a single point, has angle pi/2 (cos^2 = 0), so the correction
-        integral excludes nothing there.
+        integral excludes nothing there.  ``i`` is read by ``_point_index``.
 
         Raises
         ------
         ValueError
-            If a row has no component normal to ``u_i``.
+            If ``i`` is not a point index, or a row has no component normal
+            to ``u_i``.
         """
+        i = self._point_index(i)
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
         return np.sin(self._psi_angles(i, directions.T)) ** 2
 
@@ -226,7 +239,7 @@ class PointConfiguration:
         return self._psi_angles(i, self.normal_directions(i).T)
 
     def _psi_angles(self, i, columns, norms_sq=None):
-        """pi/2 minus the local angle at point i for each direction z.
+        """pi/2 minus the local angle at point i in [0, N) for each direction z.
 
         The local-angle kernel.  ``columns`` holds the directions as the
         columns of an (n, m) array; ``norms_sq``, their squared norms, is
@@ -257,8 +270,9 @@ class PointConfiguration:
         Ties are broken by the lowest neighbor index.  For an antipodal
         nearest neighbor, or a lone point, the tangent is not unique and a
         deterministic orthogonal direction is returned: the second column
-        of the QR factor of ``[u_i, I]``.
+        of the QR factor of ``[u_i, I]``.  ``i`` is read by ``_point_index``.
         """
+        i = self._point_index(i)
         rho_i = self.correlation[i].copy()
         rho_i[i] = -np.inf
         # a lone point has no candidate but itself, whose tangent vanishes
@@ -284,8 +298,9 @@ class PointConfiguration:
           normal sphere.
 
         The rule is fixed, so every average over it is deterministic.  For
-        n <= 3 it is anchored at ``v0``.
+        n <= 3 it is anchored at ``v0``.  ``i`` is read by ``_point_index``.
         """
+        i = self._point_index(i)
         u = self.points[i]
         if self.dim > 3:
             z = _sobol_columns(self.dim)[0].T.copy()  # the rows as drawn, C-ordered
@@ -329,20 +344,16 @@ def _sobol_points(dim, log2_points):
     drawn from ``default_rng(_QMC_SEED)`` in scipy's order, and the points in
     Gray-code order.  Raises ``ValueError`` beyond the table's dimensions.
     """
-    # only the first dim rows are read: a memory map costs more to set up
-    with open(_SOBOL_TABLE, "rb") as table_file:
-        np.lib.format.read_magic(table_file)
-        (n_rows, width), _, dtype = np.lib.format.read_array_header_1_0(table_file)
-        if dim > n_rows:
-            raise ValueError(f"Maximum supported dimensionality is {n_rows}.")
-        table = np.fromfile(table_file, dtype=dtype, count=dim * width).reshape(dim, width)
+    table = np.load(_SOBOL_TABLE, mmap_mode="r")  # only rows 1 .. dim - 1 are read
+    if dim > len(table):
+        raise ValueError(f"Maximum supported dimensionality is {len(table)}.")
     # bit k of a number counts from the top: its weight is 2**(_SOBOL_BITS - 1 - k)
     weights = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
     # direction numbers by the recurrence of each row's primitive polynomial,
     # v_j = v_{j-s} XOR the sum of a_k 2^k v_{j-k} over k = 1 .. s (Bratley &
     # Fox 1988, sec. 2); the first coordinate's are all 1
     v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
-    for d, (poly, *row) in enumerate(table[1:].tolist(), start=1):
+    for d, (poly, *row) in enumerate(table[1:dim].tolist(), start=1):
         degree = poly.bit_length() - 1
         del row[degree:]
         taps = [k for k in range(1, degree + 1) if poly >> (degree - k) & 1]

@@ -12,14 +12,14 @@ A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
 max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
 on the raw Gaussian rows, and each trial is scaled once, by sqrt(R**2 / |z|**2).
 
-Every entry point reads its trial count and seed by one rule,
-``_check_draws``: ``1000.0`` and ``np.int64(1000)`` are the count 1000, and a
-bool, a string or ``None`` is refused.
+Every entry point reads its trial count and seed by ``_check_draws``, through
+the package's integer rule ``radial_laws._as_integer``: ``1000.0`` and
+``np.int64(1000)`` are the count 1000, and a bool, a string or ``None`` is
+refused.
 """
 
 import hashlib
 import json
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import _check_tube, p_tube
-from .radial_laws import _as_real
+from .radial_laws import _as_integer, _as_real
 
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
@@ -53,15 +53,11 @@ def _block_trials(n_points):
 def _check_draws(trials, seed):
     """The trial count and the seed as Python ints.
 
-    Each must be an int or an integral float, never a bool; then trials must
-    be at least 1 and the seed must fit the 64-bit Philox key word (it would
-    alias the seed it equals modulo 2**64).
+    Each is read by ``_as_integer``; then trials must be at least 1 and the
+    seed must fit the 64-bit Philox key word (it would alias the seed it
+    equals modulo 2**64).
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        integral_float = isinstance(value, float) and value.is_integer()
-        if not integral_float and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    trials, seed = int(trials), int(seed)
+    trials, seed = _as_integer("trials", trials), _as_integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= seed < 2**64:

@@ -85,14 +85,25 @@ def g_beta(beta, y):
 def _as_real(name, value):
     """A number as a float: a real number and not a bool (so ``True`` and
     ``"3"`` are refused), where an integer beyond double range reads as
-    infinite.  The one rule for a number that a law or an experiment file
-    gives."""
+    infinite.  The one rule for a real number that a law, an experiment file
+    or a caller gives."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond double range
         return math.inf if value > 0 else -math.inf
+
+
+def _as_integer(name, value):
+    """An integer as a Python int: an int (``np.int64`` too) or an integral
+    float, never a bool (so ``True``, ``2.5`` and ``"3"`` are refused).  The
+    one rule for a trial count, a seed, a dimension, an order or a point
+    index that a caller gives."""
+    integral_float = isinstance(value, float) and value.is_integer()
+    if not integral_float and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class RadialLaw:

@@ -929,6 +929,74 @@ class TestRealThresholds:
             assert read(benchmark_config, gauss_law, value) == expected
 
 
+class TestIntegerAndIndexReaders:
+    """The dimension n and the order k are read by the package's integer rule,
+    ``radial_laws._as_integer``, and the tail index gamma by one reader behind
+    ``delta_rv_limit`` and ``delta_bar``: ``_as_real``, then finite and
+    positive."""
+
+    NOT_INTEGER = [True, 2.5, "3", np.array(3), None]
+
+    @pytest.mark.parametrize("value", NOT_INTEGER, ids=repr)
+    def test_a_dimension_that_is_not_an_integer_is_refused(self, gauss_law, value):
+        # 2.5 once built a Beta(1/2, 3/4) plan and returned 0.0318
+        with pytest.raises(ValueError, match="^ambient dimension must be an integer, got "):
+            marginal_tail(gauss_law, value, 2.0)
+        for d_k in (d_k_quadrature, d_k_asymptotic):
+            with pytest.raises(ValueError, match="^ambient dimension must be an integer, got "):
+                d_k(gauss_law, value, 1, 0.5, 4.0)
+
+    @pytest.mark.parametrize("value", NOT_INTEGER, ids=repr)
+    def test_an_order_that_is_not_an_integer_is_refused(self, gauss_law, value):
+        # True once read as k = 1 and returned D_1
+        for d_k in (d_k_quadrature, d_k_asymptotic):
+            with pytest.raises(ValueError, match="^order k must be an integer, got "):
+                d_k(gauss_law, 3, value, 0.5, 4.0)
+
+    def test_range_messages_are_unchanged(self, gauss_law):
+        with pytest.raises(ValueError, match="^ambient dimension must be at least 2$"):
+            marginal_tail(gauss_law, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= n - 1$"):
+            d_k_quadrature(gauss_law, 3, 3, 0.5, 4.0)
+
+    @pytest.mark.parametrize("law", MIXTURE_LAWS, ids=lambda law: law.family)
+    def test_integral_values_give_the_same_bits(self, law):
+        for n in (3.0, np.int64(3)):
+            assert marginal_tail(law, n, 2.0) == marginal_tail(law, 3, 2.0)
+        for n, k in ((3.0, 2.0), (np.int64(3), np.int64(2))):
+            assert d_k_quadrature(law, n, k, 0.4, 4.0) == d_k_quadrature(law, 3, 2, 0.4, 4.0)
+            if law.family != "chi":  # the chi law has no closed-form correction term
+                assert d_k_asymptotic(law, n, k, 0.4, 4.0) == d_k_asymptotic(law, 3, 2, 0.4, 4.0)
+
+    @pytest.mark.parametrize("function", [delta_rv_limit, delta_bar], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [True, "1.5", np.array(1.5), None], ids=repr)
+    def test_a_tail_index_that_is_not_a_number_is_refused(self, benchmark_config, function, value):
+        # True once read as gamma = 1; the array raised a TypeError from the
+        # cache of delta_rv_limit and returned 0.390625 from delta_bar
+        with pytest.raises(ValueError, match="^tail index must be a number, got "):
+            function(benchmark_config, value)
+
+    @pytest.mark.parametrize("function", [delta_rv_limit, delta_bar], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [0, -1.5, math.inf, math.nan], ids=repr)
+    def test_a_tail_index_that_is_not_finite_and_positive_is_refused(
+        self, benchmark_config, function, value
+    ):
+        with pytest.raises(UnsupportedLawError, match="finite positive index"):
+            function(benchmark_config, value)
+
+    def test_true_is_refused_after_one(self, benchmark_config):
+        # hash(True) == hash(1.0): the cached limit at gamma = 1 must not answer for True
+        delta_rv_limit(benchmark_config, 1)
+        with pytest.raises(ValueError, match="^tail index must be a number, got True$"):
+            delta_rv_limit(benchmark_config, True)
+
+    @pytest.mark.parametrize("function", [delta_rv_limit, delta_bar], ids=lambda f: f.__name__)
+    def test_numpy_and_integer_indices_read_as_the_equal_float(self, benchmark_config, function):
+        expected = function(benchmark_config, 2.0)
+        for value in (2, np.int64(2), np.float64(2.0)):
+            assert function(benchmark_config, value) == expected
+
+
 class TestThresholdSolving:
     def test_tube_roundtrip(self, benchmark_config, t_law):
         target = p_tube(benchmark_config, t_law, 2.5)

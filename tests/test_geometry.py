@@ -144,6 +144,54 @@ class TestLocalAngle:
             assert np.allclose(a, b, atol=1e-12)
 
 
+class TestPointIndex:
+    """A point index is read by the package's integer rule,
+    ``radial_laws._as_integer``, and may count from the end like a sequence
+    index: -N <= i < N."""
+
+    SMALL = [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]
+    DIRECTIONS = [[0.5, 0.3, 0.2], [0.1, 0.9, 0.4], [0.3, -0.2, 0.9]]
+
+    @pytest.mark.parametrize("points, rows", [(SMALL, 2), ("benchmark", 3)])
+    def test_negative_index_counts_from_the_end(self, benchmark_config, points, rows):
+        # i = -1 once kept the point itself among its neighbours: 0/0 on the
+        # first configuration, and on the benchmark one a point that counted
+        # as its own neighbour where rho_ii rounds below 1
+        config = benchmark_config if points == "benchmark" else PointConfiguration.from_points(points)
+        z = np.array(self.DIRECTIONS[:rows])
+        assert np.array_equal(config.cos_sq_local_angle(-1, z), config.cos_sq_local_angle(2, z))
+        for i in range(-3, 0):
+            assert np.array_equal(config.normal_directions(i), config.normal_directions(i + 3))
+            assert np.array_equal(
+                config.nearest_neighbor_direction(i), config.nearest_neighbor_direction(i + 3)
+            )
+
+    @pytest.mark.parametrize("method", ["cos_sq_local_angle", "normal_directions",
+                                        "nearest_neighbor_direction"])
+    @pytest.mark.parametrize("value", [True, 1.5, "0", np.array(0), None], ids=repr)
+    def test_an_index_that_is_not_an_integer_is_refused(self, benchmark_config, method, value):
+        # True once indexed as a new axis: normal_directions(True) had shape (4096, 9)
+        args = (value, [0.0, 0.0, 1.0]) if method == "cos_sq_local_angle" else (value,)
+        with pytest.raises(ValueError, match="^point index must be an integer, got "):
+            getattr(benchmark_config, method)(*args)
+
+    @pytest.mark.parametrize("value", [3, -4])
+    def test_an_index_out_of_range_names_it_and_the_count(self, benchmark_config, value):
+        for call in (
+            lambda: benchmark_config.cos_sq_local_angle(value, [0.0, 0.0, 1.0]),
+            lambda: benchmark_config.normal_directions(value),
+            lambda: benchmark_config.nearest_neighbor_direction(value),
+        ):
+            with pytest.raises(ValueError, match=f"^point index {value} is out of range for 3 points$"):
+                call()
+
+    def test_integral_values_read_as_the_index(self, benchmark_config):
+        for value in (1.0, np.int64(1)):
+            assert np.array_equal(
+                benchmark_config.normal_directions(value), benchmark_config.normal_directions(1)
+            )
+
+
 class TestLocalAngleKernel:
     """The one kernel behind every local angle, against explicit projection."""
 

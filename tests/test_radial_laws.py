@@ -19,6 +19,7 @@ from spheretail import (
     law_from_dict,
 )
 from spheretail.montecarlo import _law_digest
+from spheretail.radial_laws import _as_integer
 
 # Frozen 40-digit quadrature values for the product-of-chi-squares tail.
 BESSEL_TAIL_ORACLE = {
@@ -624,3 +625,24 @@ class TestConfigParsing:
         # the one check of a parameter, for Python callers as for law_from_dict
         with pytest.raises(ValueError, match=message):
             ChiSquare(nu=value)
+
+
+class TestIntegerRule:
+    """``_as_integer`` is the package's one integer rule: trial counts, seeds,
+    dimensions, orders and point indices are read by it."""
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), np.uint8(3)], ids=repr)
+    def test_integral_values_read_as_python_ints(self, value):
+        read = _as_integer("count", value)
+        assert type(read) is int and read == 3
+
+    def test_a_large_integer_is_kept_exactly(self):
+        assert _as_integer("seed", 2**64 - 1) == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, 2.5, math.inf, math.nan, "3", None, np.array(3), [3]], ids=repr
+    )
+    def test_other_values_are_refused_by_name(self, value):
+        with pytest.raises(ValueError) as err:
+            _as_integer("count", value)
+        assert str(err.value) == f"count must be an integer, got {value!r}"

@@ -47,7 +47,7 @@ def test_import_loads_no_lazy_scipy_module(tmp_path):
 
 TRAFFIC = """
 import sys
-from spheretail import cli, excursion, ChiSquare, PointConfiguration
+from spheretail import cli
 
 LAZY = {lazy!r}
 
@@ -64,10 +64,6 @@ print("n<=3", loaded())
 assert cli.run(["threshold", "--config", "cfg.json", "--target", "1e-3",
                 "--method", "exact"]) == 0
 print("threshold", loaded())
-
-config = PointConfiguration.from_points([[1, 0, 0, 0], [0.6, 0.8, 0, 0], [0.6, 0, 0.8, 0]])
-excursion.p_exact(config, ChiSquare(4.0), 3.0)
-print("n>3", loaded())
 """
 
 
@@ -81,6 +77,20 @@ def test_scipy_modules_load_on_first_use(tmp_path):
     assert lines[0] == "n<=3 []\n"
     # threshold's first Brent step loads scipy.optimize and solves as before
     assert lines[1:3] == [C_GAMMA_EXACT_1E3, "threshold ['scipy.optimize']\n"]
-    # the first n > 3 direction average draws its Sobol sample without scipy.stats
-    assert lines[3] == "n>3 ['scipy.optimize']\n"
-    assert len(lines) == 4
+    assert len(lines) == 3
+
+
+def test_n_above_three_loads_no_lazy_module(tmp_path):
+    # on its own, so that a module some earlier command loaded cannot hide one
+    # this path loads: the first n > 3 direction average draws its Sobol sample
+    # with numpy, and no step of it needs scipy.optimize or scipy.stats
+    out = run_fresh(
+        "import sys\n"
+        "from spheretail import ChiSquare, PointConfiguration, p_exact\n"
+        "config = PointConfiguration.from_points(\n"
+        "    [[1, 0, 0, 0], [0.6, 0.8, 0, 0], [0.6, 0, 0.8, 0]])\n"
+        "p_exact(config, ChiSquare(4.0), 3.0)\n"
+        f"print(sorted(set({LAZY!r}) & set(sys.modules)))\n",
+        tmp_path,
+    )
+    assert out == "[]\n"
