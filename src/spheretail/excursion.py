@@ -55,9 +55,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sci_special
 
-from .radial_laws import UnsupportedLawError, _as_integer, _as_real, g_beta
+from .radial_laws import UnsupportedLawError, _as_integer, _as_real, _special, g_beta
 from .special_functions import find_root
 
 __all__ = [
@@ -87,7 +86,7 @@ PSI_NODES = 4097        # cosine-spaced Simpson nodes for the cumulative beta-mi
 def _beta_density(psi, p, q):
     """Beta(p, q) density transported to y = sin^2(psi), singularities absorbed."""
     weight = 2.0 * np.sin(psi) ** (2.0 * p - 1.0) * np.cos(psi) ** (2.0 * q - 1.0)
-    return weight / _sci_special.beta(p, q)
+    return weight / _special().beta(p, q)
 
 
 def _simpson_rule(x21, x32):
@@ -403,7 +402,7 @@ def _rv_limit(config, gamma):
     p, q = gamma + 0.5, (config.dim - 1) / 2.0
     plan = _plan(config.dim, 1, math.pi / 2.0)
     cdf = _hermite_pieces(
-        plan, _sci_special.betainc(p, q, plan.y), _beta_density(plan.psi, p, q)
+        plan, _special().betainc(p, q, plan.y), _beta_density(plan.psi, p, q)
     )
     per_point = _profile_moments(config).per_point
     mean = float(np.sum(per_point @ cdf)) / config.n_points
@@ -421,7 +420,7 @@ def delta_bar(config, gamma):
     is read by ``_tail_index``.
     """
     p, q = _tail_index(gamma) + 0.5, (config.dim - 1) / 2.0
-    return float(_sci_special.betainc(p, q, config.cos_sq_theta_star))
+    return float(_special().betainc(p, q, config.cos_sq_theta_star))
 
 
 def p_bounds(config, law, c):
@@ -504,17 +503,17 @@ def d_k_asymptotic(law, n, k, theta, c):
     if desc.regularly_varying:
         gamma = desc.gamma
         a_gk = math.exp(
-            _sci_special.betaln(gamma + p, q) - _sci_special.betaln(p, q)
+            _special().betaln(gamma + p, q) - _special().betaln(p, q)
         )
-        return a_gk * float(_sci_special.betainc(gamma + p, q, cos_sq))
+        return a_gk * float(_special().betainc(gamma + p, q, cos_sq))
     b = _laplace_rate(law, desc, c)
     if theta == 0.0:
-        return float(math.gamma(q) / (_sci_special.beta(p, q) * b**q))
+        return float(math.gamma(q) / (_special().beta(p, q) * b**q))
     return float(
         math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)
         * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(cos_sq))
-        / (_sci_special.beta(p, q) * b)
+        / (_special().beta(p, q) * b)
     )
 
 

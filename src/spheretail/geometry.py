@@ -33,9 +33,8 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from .radial_laws import _as_integer
+from .radial_laws import _as_integer, _special
 
 __all__ = ["PointConfiguration"]
 
@@ -326,7 +325,7 @@ def _sobol_columns(dim):
     dimension and shared by every point and configuration; samples of two
     dimensions are kept, as many as a ``highdim`` benchmark pass reads.
     """
-    columns = special.ndtri(_sobol_points(dim, QMC_LOG2_POINTS))
+    columns = _special().ndtri(_sobol_points(dim, QMC_LOG2_POINTS))
     norms_sq = np.einsum("ij,ij->j", columns, columns)
     columns.setflags(write=False)
     norms_sq.setflags(write=False)

@@ -6,7 +6,10 @@ therefore depend only on the seed and its index.  The chunks of one call run
 on a thread pool sized to the CPUs this process may use (the work is NumPy
 and BLAS code that releases the interpreter lock) and their results are
 combined in chunk order, so the output is bit-identical whatever the worker
-count, and identical inputs always reproduce identical output.
+count, and identical inputs always reproduce identical output.  At most
+``_CHUNKS_PER_WORKER`` chunks per worker are in flight: a new chunk is
+submitted as the oldest one's result is taken, so memory does not grow with
+the trial count.
 
 A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
 max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
@@ -18,6 +21,7 @@ the package's integer rule ``radial_laws._as_integer``: ``1000.0`` and
 refused.
 """
 
+import collections
 import hashlib
 import json
 import os
@@ -41,6 +45,11 @@ CHUNK_TRIALS = 1 << 14
 # size: blocks of 1310 or 655 trials moved them by an ulp, no power of two
 # from 2 to 2**14 did
 _BLOCK_ENTRIES = 1 << 18
+
+# chunks in flight (queued, running or done and not yet taken) per worker:
+# enough to keep every worker busy while the caller takes results, and a
+# bound on the queue, whose every entry holds about 2 KB
+_CHUNKS_PER_WORKER = 2
 
 
 def _block_trials(n_points):
@@ -100,16 +109,30 @@ def _available_cpus():
 
 
 def _map_chunks(chunk_fn, trials):
-    """Return ``[chunk_fn(j, size_j) for each chunk j]`` of ``trials`` draws.
+    """Yield ``chunk_fn(j, size_j)`` for each chunk j of ``trials`` draws, in
+    chunk order.
 
     Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws.  The chunks run on a
     thread pool that lives for this call only, with at most one worker per
-    available CPU; the list is in chunk order and the first exception raised
-    by a chunk propagates to the caller.
+    available CPU.  At most ``_CHUNKS_PER_WORKER`` chunks per worker are
+    submitted and not yet yielded, so memory does not grow with ``trials``.
+    The first exception raised by a chunk propagates to the caller, and the
+    chunks not yet started are cancelled.
     """
-    sizes = [min(CHUNK_TRIALS, trials - start) for start in range(0, trials, CHUNK_TRIALS)]
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(sizes))) as pool:
-        return list(pool.map(chunk_fn, range(len(sizes)), sizes))
+    starts = range(0, trials, CHUNK_TRIALS)
+    workers = min(_available_cpus(), len(starts))
+    in_flight = collections.deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for j, start in enumerate(starts):
+                in_flight.append(pool.submit(chunk_fn, j, min(CHUNK_TRIALS, trials - start)))
+                if len(in_flight) == _CHUNKS_PER_WORKER * workers:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+        finally:
+            for future in in_flight:
+                future.cancel()
 
 
 def _chunk_tmax(config, law, seed, chunk_index, size):
@@ -130,8 +153,8 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
     trials, seed = _check_draws(trials, seed)
-    return np.concatenate(_map_chunks(
-        lambda j, size: _chunk_tmax(config, law, seed, j, size), trials))
+    return np.concatenate(list(_map_chunks(
+        lambda j, size: _chunk_tmax(config, law, seed, j, size), trials)))
 
 
 def simulate_pmax(config, law, c_grid, trials, seed):

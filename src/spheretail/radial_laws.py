@@ -17,7 +17,6 @@ import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
-from scipy import special as _sci_special
 
 from .special_functions import find_root
 
@@ -33,6 +32,20 @@ __all__ = [
     "g_beta",
     "law_from_dict",
 ]
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call.
+
+    Importing it costs about as much as numpy, and ``import spheretail`` and
+    ``simulate`` need none of its functions.  Every module of the package
+    calls a special function through this accessor, at about the cost of a
+    module attribute after the first call.
+    """
+    from scipy import special
+
+    return special
 
 
 class UnsupportedLawError(ValueError):
@@ -186,7 +199,7 @@ class ChiSquare(RadialLaw):
     family = "chi_square"
 
     def _base_tail(self, x):
-        return _sci_special.gammaincc(self.nu / 2.0, x / 2.0)
+        return _special().gammaincc(self.nu / 2.0, x / 2.0)
 
     def _base_sample(self, rng, size):
         return rng.gamma(self.nu / 2.0, 2.0, size)
@@ -208,7 +221,7 @@ class Chi(RadialLaw):
 
     def _base_tail(self, x):
         with np.errstate(over="ignore"):  # x^2 overflows beyond 1.3e154, where Q is 0
-            return _sci_special.gammaincc(self.nu / 2.0, x * x / 2.0)
+            return _special().gammaincc(self.nu / 2.0, x * x / 2.0)
 
     def _base_sample(self, rng, size):
         return np.sqrt(rng.gamma(self.nu / 2.0, 2.0, size))
@@ -228,7 +241,7 @@ class FDist(RadialLaw):
 
     def _base_tail(self, x):
         t = self.nu2 / (self.nu1 * x + self.nu2)
-        return _sci_special.betainc(self.nu2 / 2.0, self.nu1 / 2.0, t)
+        return _special().betainc(self.nu2 / 2.0, self.nu1 / 2.0, t)
 
     def _base_sample(self, rng, size):
         num = rng.gamma(self.nu1 / 2.0, 2.0, size) / self.nu1
@@ -247,7 +260,7 @@ class LogNormal(RadialLaw):
     family = "log_normal"
 
     def _base_tail(self, x):
-        return _sci_special.ndtr(-np.log(x))
+        return _special().ndtr(-np.log(x))
 
     def _base_sample(self, rng, size):
         return np.exp(rng.standard_normal(size))
@@ -380,7 +393,8 @@ class Bessel(RadialLaw):
         near = z <= 1.0
         z_near, z_far = z[near], z[~near]
         out = np.empty_like(z)
-        facts = [_sci_special.gamma(a) * math.factorial(k) for k in range(round(nu_b / 2.0))]
+        special = _special()
+        facts = [special.gamma(a) * math.factorial(k) for k in range(round(nu_b / 2.0))]
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             if z_near.size:
                 # 2 sqrt(z) is 0 where x / 4 underflows, so that h below reads 1 there
@@ -388,11 +402,11 @@ class Bessel(RadialLaw):
                 near_sum = np.zeros_like(z_near)
                 for k, fact in enumerate(facts):
                     o, m = abs(a - k), min(k, a)
-                    h = 2.0 * z_near ** (o / 2.0) * _sci_special.kv(o, y_near) / _sci_special.gamma(o)
+                    h = 2.0 * z_near ** (o / 2.0) * special.kv(o, y_near) / special.gamma(o)
                     # K_o overflows only at z = 0 and where z^(o/2) < Gamma(o) / 3.6e308,
                     # for o <= 2 below z = 1e-300, where h is 1 to rounding
                     h = np.where(np.isfinite(h), h, 1.0 - z_near / (o - 1.0) if o > 2.0 else 1.0)
-                    near_sum += z_near**m * (_sci_special.gamma(o) / fact) * h
+                    near_sum += z_near**m * (special.gamma(o) / fact) * h
                 out[near] = near_sum
             if z_far.size:
                 y_far = 2.0 * np.sqrt(z_far)
@@ -402,7 +416,7 @@ class Bessel(RadialLaw):
                     # z^((a+k)/2) exp(-y) as a square keeps every factor finite up to
                     # y = 1e4 for orders up to 80; beyond it the tail is 0
                     root = z_far ** (0.25 * (a + k)) * half
-                    far_sum += 2.0 * _sci_special.kve(abs(a - k), y_far) * root * root / fact
+                    far_sum += 2.0 * special.kve(abs(a - k), y_far) * root * root / fact
                 # NaN where kve is (y beyond about 1e15, y = inf) and where the power
                 # of z overflows as exp(-y/2) underflows: the tail is 0 there
                 out[~near] = np.where(np.isnan(far_sum), 0.0, far_sum)
@@ -430,10 +444,10 @@ class Bessel(RadialLaw):
             log_fdt = (
                 (nu_a / 2.0) * log_t
                 - t / 2.0
-                - _sci_special.gammaln(nu_a / 2.0)
+                - _special().gammaln(nu_a / 2.0)
                 - (nu_a / 2.0) * math.log(2.0)
             )
-            upper = _sci_special.gammaincc(nu_b / 2.0, x[:, None] / (2.0 * t))
+            upper = _special().gammaincc(nu_b / 2.0, x[:, None] / (2.0 * t))
             integrand = np.exp(log_fdt) * upper
             integrand = np.where(np.isfinite(integrand), integrand, 0.0)
         # a row-wise reduction, unlike a BLAS product, sums each row alike

@@ -5,15 +5,16 @@ Each routine is a thin wrapper around ``scipy.integrate.quad`` (QUADPACK, an
 adaptive scheme with an embedded Gauss/Kronrod rule pair that copes with
 integrable endpoint singularities) or ``scipy.optimize.brentq``.  The
 incomplete gamma and beta functions of the radial tails are called from
-``scipy.special`` where they are used.
+``scipy.special`` where they are used, through ``radial_laws._special``.
 
 ``integrate`` has no caller inside the package; its absolute tolerance of
 1e-14 gives no relative accuracy for integrals below about 1e-14.
 
-Each routine imports its scipy submodule on first call, so importing this
-module, and with it ``spheretail``, loads neither ``scipy.optimize`` nor
-``scipy.integrate``: a single CLI command's wall time is mostly import, and
-most commands call neither routine.
+Each routine imports its scipy submodule on first call, as
+``radial_laws._special`` imports ``scipy.special``, so importing this module,
+and with it ``spheretail``, loads no scipy module.  A single CLI command's
+wall time is mostly import: ``simulate`` needs numpy alone, and most
+commands call neither routine.
 
 Every routine here is a pure function of its inputs and safe for concurrent
 invocation; there is no shared mutable state.

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,6 +154,39 @@ class TestFrozenBits:
             sample_tmax(benchmark_config, law, 3 * CHUNK_TRIALS + 5, seed=0)
         with pytest.raises(RuntimeError, match="last chunk"):
             simulate_pmax(benchmark_config, law, FROZEN_GRID, 3 * CHUNK_TRIALS + 5, seed=0)
+
+
+class TestChunkWindow:
+    @staticmethod
+    def _peak_traced_bytes(trials):
+        tracemalloc.start()
+        try:
+            total = sum(montecarlo._map_chunks(lambda j, size: size, trials))
+            return total, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_trials(self):
+        # 611 and 61 036 chunks; every chunk queued at once would hold about
+        # 2 KB each, 115 MB at 1e9 trials
+        small, small_peak = self._peak_traced_bytes(10**7)
+        large, large_peak = self._peak_traced_bytes(10**9)
+        assert (small, large) == (10**7, 10**9)
+        assert large_peak <= small_peak + 64 * 1024
+
+    def test_first_failure_stops_submitting_chunks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        started = []
+
+        def chunk_fn(j, size):
+            started.append(j)
+            if j == 0:
+                raise RuntimeError("first chunk failed")
+            return size
+
+        with pytest.raises(RuntimeError, match="first chunk"):
+            sum(montecarlo._map_chunks(chunk_fn, 10**9))
+        assert len(started) <= 2 * montecarlo._CHUNKS_PER_WORKER
 
 
 class TestAgainstAnalytic:
