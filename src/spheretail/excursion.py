@@ -42,9 +42,12 @@ configurations; at n = 10, N = 1000 one set holds 131 MB), and every
 average is then one dot product with the piece coefficients.  The spline
 is transient: a row's three numbers (P_tube, P_tube - P, standard error)
 are kept per (configuration, law, c), for the last four, and the marginal
-reads only the cumulative's total.  Thresholds are solved on log P(c) by
-steps steered by the radial law's scalar tail, so that a solve builds few
-mixtures.
+reads only the cumulative's total.  A configuration keys these caches by
+its points (shape and bits, see ``PointConfiguration``), so every
+configuration with equal points, whichever file, preset or matrix built
+it, reads the moments, limits and rows that the first one built.
+Thresholds are solved on log P(c) by steps steered by the radial law's
+scalar tail, so that a solve builds few mixtures.
 
 Everything here is pure and thread-safe; grid sweeps may run concurrently.
 """
@@ -718,6 +721,10 @@ def build_report(config, law, c):
         except ValueError:
             prediction = math.nan
             flags.append("pred_unavailable")
+        else:
+            # no relative error reaches 1: the expansion has not taken hold
+            if prediction >= 1.0:
+                flags.append("pre_asymptotic")
     return ExcursionReport(
         c=c,
         p_tube=tube,

@@ -24,7 +24,11 @@ are Joe & Kuo's new-joe-kuo-6.21201 table as scipy ships it
 (``scipy/stats/_sobol_direction_numbers.npz``), copied once.
 
 Configurations are immutable after construction and every operation is
-pure and deterministic.
+pure and deterministic.  Two configurations are equal, and hash alike, when
+their points have the same shape and the same bits, however they were
+built, so the per-configuration caches of ``excursion`` serve every equal
+configuration; -0.0 and +0.0 differ there, as do two shapes of one byte
+string.
 """
 
 import math
@@ -95,6 +99,26 @@ class PointConfiguration:
         gram.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "correlation", gram)
+
+    # ------------------------------------------------------------------
+    # value identity
+    # ------------------------------------------------------------------
+
+    @cached_property
+    def _key(self):
+        """(shape, bytes) of the points: what a configuration compares and
+        hashes by.  Every derived quantity is a function of these bits."""
+        return self.points.shape, self.points.tobytes()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, PointConfiguration):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     # ------------------------------------------------------------------
     # construction

@@ -85,7 +85,8 @@ def _law_digest(law):
 
 
 def _config_digest(config):
-    return hashlib.sha256(np.ascontiguousarray(config.points).tobytes()).hexdigest()[:16]
+    # the bytes of the points, as the configuration's own key holds them
+    return hashlib.sha256(config._key[1]).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -40,7 +41,7 @@ from spheretail import (
 from spheretail import cli
 from spheretail.cli import REPRODUCE_CASES
 
-from conftest import psi_angle_oracle, random_config
+from conftest import equicorrelated, psi_angle_oracle, random_config
 
 
 # one law per family; all but Chi(3) are the laws of the reproduce cases
@@ -535,6 +536,58 @@ class TestRegularlyVaryingLimit:
     def test_invalid_index(self, benchmark_config):
         with pytest.raises(UnsupportedLawError):
             delta_rv_limit(benchmark_config, math.inf)
+
+
+class TestCachesKeyedOnPoints:
+    """The per-configuration caches serve every configuration with equal points."""
+
+    CACHES = (excursion._evaluation, excursion._profile_moments, excursion._rv_limit)
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        for cache in self.CACHES:
+            cache.cache_clear()
+        yield
+        for cache in self.CACHES:
+            cache.cache_clear()
+
+    def test_equal_configurations_build_the_moments_once(self, t_law):
+        rho = equicorrelated(4, 0.3)
+        a = PointConfiguration.from_correlation(rho)
+        b = PointConfiguration.from_correlation(rho)
+        assert a is not b and a == b
+        delta_exact(a, t_law, 2.0)
+        delta_exact(b, t_law, 3.0)
+        delta_rv_limit(b, 1.5)
+        info = excursion._profile_moments.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_cached_values_equal_a_fresh_build(self, gauss_law):
+        rho = equicorrelated(3, 0.4)
+        a = PointConfiguration.from_correlation(rho)
+        b = PointConfiguration.from_correlation(rho)
+        fresh = excursion._evaluation.__wrapped__(b, gauss_law, 3.0)
+        for cache in self.CACHES:
+            cache.cache_clear()
+        p_exact(a, gauss_law, 3.0)
+        tube, corrections, _ = fresh
+        assert p_exact(b, gauss_law, 3.0) == tube - corrections
+        assert delta_exact(b, gauss_law, 3.0) == corrections / tube
+        assert excursion._evaluation.cache_info().misses == 1
+
+    def test_two_threshold_runs_on_one_file_build_the_moments_once(self, tmp_path, capsys):
+        cfg = tmp_path / "gauss.json"
+        cfg.write_text(json.dumps({
+            "correlation": equicorrelated(3, 0.25).tolist(),
+            "law": {"family": "chi_square", "nu": 3.0},
+        }))
+        argv = ["threshold", "--config", str(cfg), "--target", "1e-3", "--method", "exact"]
+        printed = []
+        for _ in range(2):
+            assert cli.run(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed == ["c_gamma = 3.401521433180644\n"] * 2
+        assert excursion._profile_moments.cache_info().misses == 1
 
 
 class TestDeltaBar:
@@ -1248,6 +1301,18 @@ class TestReports:
         assert report.flags == "pred_unavailable"
         assert math.isnan(report.delta_prediction)
         assert report.delta_exact == delta_exact(benchmark_config, law, 0.9)
+
+    def test_prediction_of_one_or_more_is_flagged(self, benchmark_config):
+        # just above c^2 / scale = 1 the log-normal Laplace rate log c^2 is
+        # near 0 and the prediction exceeds 1, which no relative error can;
+        # the value is kept
+        law = LogNormal()
+        report = build_report(benchmark_config, law, 1.1)
+        assert report.flags == "pre_asymptotic"
+        assert report.delta_prediction == math.exp(log_delta_asymptotic(benchmark_config, law, 1.1))
+        assert report.delta_prediction == pytest.approx(1.3658, rel=1e-4)
+        assert report.delta_exact < 1.0
+        assert build_report(benchmark_config, law, 1.2).flags == ""
 
     def test_capping_at_small_threshold(self, benchmark_config, t_law):
         report = build_report(benchmark_config, t_law, 1e-6)

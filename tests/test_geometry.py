@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -106,6 +107,49 @@ class TestConstruction:
         assert config.rho_star == pytest.approx(-1.0, abs=1e-12)
         # the cotangent rule gives angle pi/2 in the only normal direction pair
         assert np.array_equal(config.cos_sq_local_angle(0, [[0.0, 1.0], [0.0, -1.0]]), [0.0, 0.0])
+
+
+class TestValueEquality:
+    """Configurations compare and hash by the shape and bits of their points."""
+
+    def test_two_factorisations_of_one_matrix_are_equal(self):
+        rho = equicorrelated(4, 0.3)
+        a = PointConfiguration.from_correlation(rho)
+        b = PointConfiguration.from_correlation(rho)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_json_round_trip_of_the_points_is_equal(self):
+        config = random_config(5, 4, seed=3)
+        rebuilt = PointConfiguration.from_points(json.loads(json.dumps(config.points.tolist())))
+        assert rebuilt == config
+        assert hash(rebuilt) == hash(config)
+
+    def test_signed_zeros_differ(self):
+        plus = PointConfiguration.from_points([[1.0, 0.0], [0.0, 1.0]])
+        minus = PointConfiguration.from_points([[1.0, -0.0], [0.0, 1.0]])
+        assert np.array_equal(plus.points, minus.points)
+        assert plus != minus
+
+    def test_shape_is_part_of_the_key(self):
+        # the squared norms of valid points sum to N, so no two valid
+        # configurations of different shapes share their bytes: the reshaped
+        # points are set past the constructor's checks
+        a = PointConfiguration.from_points([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+        b = object.__new__(PointConfiguration)
+        object.__setattr__(b, "points", a.points.reshape(3, 2))
+        assert b.points.tobytes() == a.points.tobytes()
+        assert a != b and b != a
+
+    @pytest.mark.parametrize("other", [None, 1.0, "points", [[1.0, 0.0], [0.0, 1.0]]])
+    def test_a_non_configuration_is_unequal(self, other):
+        config = PointConfiguration.from_points([[1.0, 0.0], [0.0, 1.0]])
+        assert (config == other) is False
+        assert (other == config) is False
+        assert config != other
+        assert config.__eq__(other) is NotImplemented
 
 
 class TestLocalAngle:

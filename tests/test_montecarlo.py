@@ -72,6 +72,15 @@ class TestDeterminism:
         assert a.config_digest == b.config_digest
         assert a.law_digest != b.law_digest
 
+    def test_config_digest_is_pinned(self):
+        # the first 16 hex digits of the sha256 of the points' bytes; literal
+        # points keep the digest free of any factorisation's rounding
+        config = PointConfiguration.from_points(
+            [[1, 0, 0, 0, 0], [0.6, 0.8, 0, 0, 0], [0, 0.6, 0.8, 0, 0], [0, 0, 0, 0.6, 0.8]]
+        )
+        result = simulate_pmax(config, ChiSquare(5.0), [1.0], 100, seed=1)
+        assert result.config_digest == "b9dcfbea765fd13d"
+
 
 class TestFrozenBits:
     # sha256 of the draws as computed when the chunks still ran one after
