@@ -495,7 +495,10 @@ def d_k_asymptotic(law, n, k, theta, c):
     Laplace-type expansion applies, with the boundary case theta = 0
     handled by its own power-of-b formula.  Both take b from the gate
     ``_laplace_rate``, which refuses a threshold below the expansion's
-    range.  +0.0 for theta >= pi/2, where the range is empty.
+    range.  +0.0 for theta >= pi/2, where the range is empty.  D_k is a
+    tail ratio, at most 1.  The beta probability never exceeds 1, but the
+    two expansions do just above the gate (1/(2b) = 2.62 for the log-normal
+    law at theta = 0, c = 1.1), so their values are capped at 1.0.
     """
     n, k, theta, c = _check_d_k_args(n, k, theta, c)
     if theta >= math.pi / 2.0:
@@ -511,13 +514,13 @@ def d_k_asymptotic(law, n, k, theta, c):
         return a_gk * float(_special().betainc(gamma + p, q, cos_sq))
     b = _laplace_rate(law, desc, c)
     if theta == 0.0:
-        return float(math.gamma(q) / (_special().beta(p, q) * b**q))
-    return float(
+        return min(float(math.gamma(q) / (_special().beta(p, q) * b**q)), 1.0)
+    return min(float(
         math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
         * math.sin(theta) ** (n - k - 2.0)
         * math.exp(-b * g_beta(desc.beta, cos_sq) - law.r_beta(cos_sq))
         / (_special().beta(p, q) * b)
-    )
+    ), 1.0)
 
 
 def log_delta_asymptotic(config, law, c):

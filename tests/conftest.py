@@ -1,5 +1,6 @@
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from scipy.stats import qmc
 
 from spheretail import Bessel, ChiSquare, FDist, LogNormal, PointConfiguration
 from spheretail import geometry
+
+# the directory the package under test was imported from: <repo>/src under
+# tier-1, site-packages when the tests run against an installed copy.  Every
+# interpreter a test spawns gets it as PYTHONPATH, so it runs the same copy.
+SRC = str(Path(geometry.__file__).resolve().parents[1])
 
 
 def equicorrelated(n_points, rho):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from spheretail import cli, p_tube
 from spheretail.geometry import PointConfiguration
 from spheretail.radial_laws import ChiSquare
 
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import SRC
 
 
 def base_config(**overrides):
@@ -142,13 +140,14 @@ class TestSubcommands:
         assert f"trials must be {message}" in capsys.readouterr().err
 
     def test_integral_float_trials_are_accepted(self, tmp_path):
-        # JSON readers may write 500 as 500.0; the count is the same
+        # JSON readers may write 500 as 500.0 and 7 as 7.0; the draws are the same
         paths = [tmp_path / "float.csv", tmp_path / "int.csv"]
-        for trials, out in zip((500.0, 500), paths):
-            cfg = write_config(tmp_path / "cfg.json", trials=trials)
+        for (trials, seed), out in zip(((500.0, 7.0), (500, 7)), paths):
+            cfg = write_config(tmp_path / "cfg.json", trials=trials, seed=seed)
             assert cli.run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert read_csv(paths[0])[1][0][3] == "500"
+        header, rows = read_csv(paths[0])
+        assert all(row[3:] == ["500", "7"] for row in rows) and header[3:] == ["trials", "seed"]
 
     @pytest.mark.parametrize("seed", [None, "eleven", 7.5, True, "12", float("inf")])
     def test_config_seed_is_checked_by_simulate_only(self, tmp_path, capsys, seed):
@@ -496,11 +495,11 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
     assert capsys.readouterr().out == f"c_gamma = {PINNED_SOLVES[case, target, method]}\n"
 
 
-# sha256 of each reproduce CSV at its preset grid, trials and seed, as the CI
-# workflow also checks for each run of the installed console script.  The
-# bytes rest on the BLAS that forms the matrix products, as TestFrozenBits's
-# do, so another host may differ (ROADMAP, known risks); such a difference is
-# a finding, not a reason to re-pin.
+# sha256 of each reproduce CSV at its preset grid, trials and seed; CI runs
+# this test on the installed package as well as on src/.  The bytes rest on
+# the BLAS that forms the matrix products, as TestFrozenBits's do, so another
+# host may differ (ROADMAP, known risks); such a difference is a finding, not
+# a reason to re-pin.
 PINNED_REPRODUCE = {
     "t": "23c26420fdb490a4d7c15b602131ddd7b1bc6aa8deec2a39e24f4512364f53f0",
     "lognormal": "8f36c359cbee227136a22a47a0619df5a8acf4b74735e7a12311050390750f17",
@@ -517,8 +516,7 @@ def test_reproduce_csvs_are_pinned(tmp_path, case):
 
 
 # sha256 of a three-chunk simulate CSV, the last chunk partial, at N = 50
-# points in n = 10 dimensions; the CI workflow checks the same bytes from the
-# installed console script
+# points in n = 10 dimensions
 PINNED_SIMULATE = "1bb6a771c64ecc211abdd23bef57d0a996c76537d4a14bb75c7e6e72f9274e2c"
 
 

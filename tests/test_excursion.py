@@ -42,6 +42,7 @@ from spheretail import cli
 from spheretail.cli import REPRODUCE_CASES
 
 from conftest import equicorrelated, psi_angle_oracle, random_config
+from test_cli import PINNED_SOLVES
 
 
 # one law per family; all but Chi(3) are the laws of the reproduce cases
@@ -586,7 +587,7 @@ class TestCachesKeyedOnPoints:
         for _ in range(2):
             assert cli.run(argv) == 0
             printed.append(capsys.readouterr().out)
-        assert printed == ["c_gamma = 3.401521433180644\n"] * 2
+        assert printed == [f"c_gamma = {PINNED_SOLVES['gauss', '0.001', 'exact']}\n"] * 2
         assert excursion._profile_moments.cache_info().misses == 1
 
 
@@ -913,6 +914,52 @@ class TestLaplaceGate:
             values.append(log_delta_asymptotic(benchmark_config, law, 4.0))
         assert [type(value) for value in values] == [float] * len(values)
 
+    @staticmethod
+    def uncapped_d_k(law, n, k, theta, c):
+        """The two sub-exponential expansions of ``d_k_asymptotic``, in its
+        own operations, before the cap at 1."""
+        desc = law.class_descriptor()
+        p, q = k / 2.0, (n - k) / 2.0
+        b = excursion._laplace_rate(law, desc, c)
+        if theta == 0.0:
+            return float(math.gamma(q) / (beta_function(p, q) * b**q))
+        cos_sq = math.cos(theta) ** 2
+        return float(
+            math.cos(theta) ** (k - 2.0 * desc.beta + 2.0)
+            * math.sin(theta) ** (n - k - 2.0)
+            * math.exp(-b * excursion.g_beta(desc.beta, cos_sq) - law.r_beta(cos_sq))
+            / (beta_function(p, q) * b)
+        )
+
+    @pytest.mark.parametrize(
+        "law", [law for law in MIXTURE_LAWS if law.family != "chi"] + [LogNormal()],
+        ids=lambda law: f"{law.family}-{law.scale:g}",
+    )
+    def test_d_k_asymptotic_lies_in_the_unit_interval(self, benchmark_config, law):
+        # no tail ratio exceeds 1, yet just above the gate the expansions read
+        # 2.623 (LogNormal(), k = 1, theta = 0, c = 1.1), 2.452 (theta = 0.3),
+        # 2.837 (k = 2, c = 1.05) and 1.0000000000000002 (chi-square(3),
+        # theta = 0, c = 1)
+        subexponential = not law.class_descriptor().regularly_varying
+        thetas = (0.0, 0.3, benchmark_config.theta_star, 1.2)
+        grid = [*np.linspace(0.1, 8.0, 80).tolist(), 1.0, 1.05, 1.1]
+        capped = 0
+        for n, c, theta in itertools.product((3, 5), grid, thetas):
+            for k in range(1, n):
+                try:
+                    value = d_k_asymptotic(law, n, k, theta, c)
+                except ValueError as error:
+                    assert str(error) == self.TOO_SMALL
+                    continue
+                assert 0.0 <= value <= 1.0, (n, k, theta, c)
+                if subexponential:
+                    # a value in range keeps its bits
+                    raw = self.uncapped_d_k(law, n, k, theta, c)
+                    assert value == min(raw, 1.0), (n, k, theta, c)
+                    capped += raw > 1.0
+        # every sub-exponential law reaches the cap just above its gate
+        assert (capped > 0) == subexponential
+
     @pytest.mark.parametrize("case, flagged", [
         ("lognormal", []), ("bessel", []), ("gauss", [0.5, 0.75]),
     ])
@@ -1177,6 +1224,20 @@ class TestThresholdSolving:
         arguments = type(law).arguments
         assert arguments and max(arguments.values()) == 1
         assert c == solve_threshold(benchmark_config, preset, target, method=method)
+
+    def test_a_point_that_hits_the_target_is_returned(self, benchmark_config, monkeypatch):
+        # the first point solves (N/2) tail(c^2) = target; where P there is the
+        # target itself, the search stops at that one evaluation
+        law, target, calls = ChiSquare(3.0), 1e-3, []
+
+        def hit(config, law, c):
+            calls.append(c)
+            return target
+
+        monkeypatch.setattr(excursion, "p_tube", hit)
+        c = solve_threshold(benchmark_config, law, target, method="tube")
+        assert calls == [c]
+        assert 1.5 * law.tail(c * c) == pytest.approx(target, rel=1e-12)
 
     def test_root_finder_tolerance_saves_a_build(self, benchmark_config):
         # a model step must land within the search's own 1e-10 c of the root:

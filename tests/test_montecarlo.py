@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -163,6 +164,16 @@ class TestFrozenBits:
             sample_tmax(benchmark_config, law, 3 * CHUNK_TRIALS + 5, seed=0)
         with pytest.raises(RuntimeError, match="last chunk"):
             simulate_pmax(benchmark_config, law, FROZEN_GRID, 3 * CHUNK_TRIALS + 5, seed=0)
+
+
+class TestAvailableCpus:
+    def test_without_cpu_affinity_the_cpu_count_is_used(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert montecarlo._available_cpus() == 7
+        # os.cpu_count() is None where the count cannot be found
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._available_cpus() == 1
 
 
 class TestChunkWindow:

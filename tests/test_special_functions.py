@@ -2,14 +2,13 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from scipy.special import betaln
 
 from spheretail.special_functions import QuadratureError, find_root, integrate
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import SRC
 
 
 class TestIntegrate:

@@ -7,16 +7,17 @@ of the n > 3 Sobol sample), ``scipy.optimize`` on the first Brent step
 error load none, in any dimension.  No command loads ``scipy.stats``: the
 n > 3 direction average draws its Sobol sample with numpy.  Each check runs
 in a fresh interpreter, since the test process itself has long loaded them
-all.
+all, and that interpreter imports the package from where the tests import it
+(``conftest.SRC``), so the checks hold for an installed copy too.
 """
 
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import SRC
+from test_cli import PINNED_SOLVES
 
 LAZY = ("scipy.special", "scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.stats")
 
@@ -24,13 +25,13 @@ LAZY = ("scipy.special", "scipy.optimize", "scipy.integrate", "scipy.interpolate
 SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 # the Gaussian preset law on the benchmark's three points; its exact threshold
-# at 1e-3 is pinned to the bit, so a lazily imported Brent solver that stepped
-# differently would show
+# at 1e-3 is pinned to the bit in test_cli, so a lazily imported Brent solver
+# that stepped differently would show
 GAUSS_PRESET = {
     "correlation": [[1.0, 0.25, 0.25], [0.25, 1.0, 0.25], [0.25, 0.25, 1.0]],
     "law": {"family": "chi_square", "nu": 3.0},
 }
-C_GAMMA_EXACT_1E3 = "c_gamma = 3.401521433180644\n"
+C_GAMMA_EXACT_1E3 = f"c_gamma = {PINNED_SOLVES['gauss', '0.001', 'exact']}\n"
 
 
 def run_fresh(code, cwd):
