@@ -725,8 +725,9 @@ def build_report(config, law, c):
             prediction = math.nan
             flags.append("pred_unavailable")
         else:
-            # no relative error reaches 1: the expansion has not taken hold
-            if prediction >= 1.0:
+            # the expansion has not taken hold: no relative error reaches 1,
+            # and below a Laplace rate of 1 its O(1/b) remainder is not small
+            if prediction >= 1.0 or _laplace_rate(law, desc, c) < 1.0:
                 flags.append("pre_asymptotic")
     return ExcursionReport(
         c=c,

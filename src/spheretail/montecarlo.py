@@ -1,15 +1,17 @@
 """Seeded simulation of the field and empirical excursion probabilities.
 
-Trials are processed in fixed-size chunks, each driven by a counter-based
-Philox generator keyed by ``(seed, chunk_index)``.  A chunk's draws
-therefore depend only on the seed and its index.  The chunks of one call run
-on a thread pool sized to the CPUs this process may use (the work is NumPy
-and BLAS code that releases the interpreter lock) and their results are
-combined in chunk order, so the output is bit-identical whatever the worker
-count, and identical inputs always reproduce identical output.  At most
-``_CHUNKS_PER_WORKER`` chunks per worker are in flight: a new chunk is
-submitted as the oldest one's result is taken, so memory does not grow with
-the trial count.
+Trials are processed in fixed-size chunks.  Chunk j draws from an SFC64
+generator seeded by ``SeedSequence(seed, spawn_key=(j,))``, the j-th child
+that ``SeedSequence(seed).spawn`` gives, so a chunk's draws depend only on
+the seed and its index, and ``SeedSequence``'s hashing keeps the chunks'
+streams apart (SFC64 because it draws normals and gammas faster than
+Philox).  The chunks of one call run on a thread pool sized to the CPUs
+this process may use (the work is NumPy and BLAS code that releases the
+interpreter lock) and their results are combined in chunk order, so the
+output is bit-identical whatever the worker count, and identical inputs
+always reproduce identical output.  At most ``_CHUNKS_PER_WORKER`` chunks per
+worker are in flight: a new chunk is submitted as the oldest one's result is
+taken, so memory does not grow with the trial count.
 
 A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
 max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
@@ -63,8 +65,9 @@ def _check_draws(trials, seed):
     """The trial count and the seed as Python ints.
 
     Each is read by ``_as_integer``; then trials must be at least 1 and the
-    seed must fit the 64-bit Philox key word (it would alias the seed it
-    equals modulo 2**64).
+    seed must lie in [0, 2**64).  ``SeedSequence`` would take any
+    nonnegative int, but the range is the command line's contract, and it
+    keeps every seed a single 64-bit word.
     """
     trials, seed = _as_integer("trials", trials), _as_integer("seed", seed)
     if trials < 1:
@@ -75,8 +78,10 @@ def _check_draws(trials, seed):
 
 
 def _chunk_generator(seed, chunk_index):
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator of chunk ``chunk_index``: SFC64 seeded by the chunk's child
+    of ``SeedSequence(seed)``."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _law_digest(law):
@@ -138,7 +143,8 @@ def _map_chunks(chunk_fn, trials):
 
 def _chunk_tmax(config, law, seed, chunk_index, size):
     """Field maxima max_i <u_i, xi> of the ``size`` draws of one chunk, all
-    from the Philox generator keyed by ``(seed, chunk_index)``."""
+    from ``_chunk_generator(seed, chunk_index)``: the ``size`` squared radii
+    first, then the Gaussian rows."""
     generator = _chunk_generator(seed, chunk_index)
     r_sq = law.sample(generator, size)
     z = generator.standard_normal((size, config.dim))

@@ -115,7 +115,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_outside_the_philox_key_is_rejected(self, tmp_path, capsys, command, seed):
+    def test_seed_outside_the_64_bit_range_is_rejected(self, tmp_path, capsys, command, seed):
         cfg = write_config(tmp_path / "cfg.json")
         source = ["--config", str(cfg)] if command == "simulate" else ["--case", "gauss"]
         out = tmp_path / "x.csv"
@@ -501,10 +501,10 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
 # host may differ (ROADMAP, known risks); such a difference is a finding, not
 # a reason to re-pin.
 PINNED_REPRODUCE = {
-    "t": "23c26420fdb490a4d7c15b602131ddd7b1bc6aa8deec2a39e24f4512364f53f0",
-    "lognormal": "8f36c359cbee227136a22a47a0619df5a8acf4b74735e7a12311050390750f17",
-    "bessel": "60abe5b97b996214193978cde38357a30dd4b935ee707f7742d585984ded63b3",
-    "gauss": "f69798409ec2e6780edbc120d6835dec039b737c7a2388dad4ee82150fb427f5",
+    "t": "6b1638b7a3108add485f70da178fb75cbc9394a7e6956806efbcb766dcad8b9a",
+    "lognormal": "74e6b4257cd6c0662e1dd75f4b2df9eca37bbf5fb1cadfea712c07f7b5b70630",
+    "bessel": "3f8bb68ac6b682bb091fd68deb727885f06ce010a78c8daf649fb66866788e22",
+    "gauss": "84e6f8aaffe8bbccbc1a0957dee1199fbefee49f23536ae6db7fa4c43cd049ce",
 }
 
 
@@ -517,7 +517,7 @@ def test_reproduce_csvs_are_pinned(tmp_path, case):
 
 # sha256 of a three-chunk simulate CSV, the last chunk partial, at N = 50
 # points in n = 10 dimensions
-PINNED_SIMULATE = "1bb6a771c64ecc211abdd23bef57d0a996c76537d4a14bb75c7e6e72f9274e2c"
+PINNED_SIMULATE = "95e3b4fb636ec83b99a06348ae73beb30feec0a7d9d7cfc9e37ffd2ab402f4b0"
 
 
 def test_multi_chunk_simulate_csv_is_pinned(tmp_path):

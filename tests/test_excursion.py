@@ -960,15 +960,20 @@ class TestLaplaceGate:
         # every sub-exponential law reaches the cap just above its gate
         assert (capped > 0) == subexponential
 
-    @pytest.mark.parametrize("case, flagged", [
-        ("lognormal", []), ("bessel", []), ("gauss", [0.5, 0.75]),
+    @pytest.mark.parametrize("case, unavailable, pre_asymptotic", [
+        # the pre-asymptotic rows have a Laplace rate below 1: 0.79 for the
+        # log-normal law at c = 2, 0.50 and 0.78 for the Gaussian one
+        ("lognormal", [], [2.0]), ("bessel", [], []), ("gauss", [0.5, 0.75], [1.0, 1.25]),
     ])
-    def test_reproduce_rows_without_a_prediction(self, benchmark_config, case, flagged):
+    def test_reproduce_rows_without_a_prediction(
+        self, benchmark_config, case, unavailable, pre_asymptotic
+    ):
         law = REPRODUCE_CASES[case]["law"]
         grid = cli._build_grid(*REPRODUCE_CASES[case]["grid"])
         reports = [build_report(benchmark_config, law, c) for c in grid]
-        assert [r.c for r in reports if r.flags == "pred_unavailable"] == flagged
-        assert all(r.flags == "" for r in reports if r.c not in flagged)
+        assert [r.c for r in reports if r.flags == "pred_unavailable"] == unavailable
+        assert [r.c for r in reports if r.flags == "pre_asymptotic"] == pre_asymptotic
+        assert all(r.flags == "" for r in reports if r.c not in unavailable + pre_asymptotic)
 
 
 # every analytic entry point that takes a threshold c, as f(config, law, c)
@@ -1373,7 +1378,35 @@ class TestReports:
         assert report.delta_prediction == math.exp(log_delta_asymptotic(benchmark_config, law, 1.1))
         assert report.delta_prediction == pytest.approx(1.3658, rel=1e-4)
         assert report.delta_exact < 1.0
-        assert build_report(benchmark_config, law, 1.2).flags == ""
+        # c = 1.2 predicts 0.91, 5.6 times Delta, at b = log 1.44 = 0.36 and is
+        # flagged by the rate rule below; b = log 4 = 1.39 at c = 2
+        assert build_report(benchmark_config, law, 2.0).flags == ""
+
+    @pytest.mark.parametrize(
+        "law",
+        [law for law in MIXTURE_LAWS if not law.class_descriptor().regularly_varying]
+        + [LogNormal(), ChiSquare(5.0, scale=2.0), Bessel(5.0, 2.0)],
+        ids=lambda law: f"{law.family}-{law.scale:g}",
+    )
+    def test_no_unflagged_prediction_below_a_laplace_rate_of_one(self, benchmark_config, law):
+        desc = law.class_descriptor()
+        unflagged = 0
+        for c in np.linspace(0.1, 8.0, 80):
+            try:
+                report = build_report(benchmark_config, law, c)
+            except FloatingPointError:
+                # P_tube underflows: chi(3) above c = 6.1, where no row exists
+                assert law.family == "chi" and c > 6.0
+                continue
+            if report.flags == "":
+                assert excursion._laplace_rate(law, desc, c) >= 1.0, c
+                unflagged += 1
+            elif report.flags == "pre_asymptotic":
+                # a flagged prediction is still printed
+                assert report.delta_prediction == math.exp(
+                    log_delta_asymptotic(benchmark_config, law, c))
+        # every law with a correction term has rows past the gate
+        assert (unflagged > 0) == (law.family != "chi")
 
     def test_capping_at_small_threshold(self, benchmark_config, t_law):
         report = build_report(benchmark_config, t_law, 1e-6)

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
+from scipy.stats import t as student_t
 
 from spheretail import (
     ChiSquare,
@@ -85,27 +86,38 @@ class TestDeterminism:
 
 class TestFrozenBits:
     # sha256 of the draws as computed when the chunks still ran one after
-    # another: no worker count or scheduling may move a bit.  The tmax digests
-    # were re-pinned when the maximum came to be scaled once per trial; the
-    # pmax digests did not move
+    # another: no worker count or scheduling may move a bit.  The digests
+    # rest on the BLAS product as well as on the generator;
+    # test_raw_draws_are_pinned separates the two
+    CASES = [
+        (2, 2, ChiSquare(2.0), "df30fdd9762fc928", "ab227c575916088d"),
+        (2, 2, FDist(3.0, 3.0), "94149f80d8234f4e", "da568a146f9b5285"),
+        (3, 3, ChiSquare(3.0), "e8442481242d7941", "3ec7a7ba5d0e3147"),
+        (3, 3, FDist(3.0, 3.0), "5a6451ff8cbfd744", "de2b4aee250b3164"),
+        (5, 10, ChiSquare(5.0), "7234de0bac1fcd98", "c6c836ed72efaa6e"),
+        (5, 10, FDist(3.0, 3.0), "6218e44ff1dc2357", "ea32c71c31af1314"),
+        (10, 50, ChiSquare(10.0), "20115821b9d1cd9d", "94627cccde36c5a5"),
+        (10, 50, FDist(3.0, 3.0), "7b54b601befc97f3", "be753b4773420c76"),
+    ]
+
     @pytest.mark.parametrize(
-        "n, n_points, law, tmax_digest, pmax_digest",
-        [
-            (2, 2, ChiSquare(2.0), "11b03d0582f5a5b5", "8aee7c28d5689c30"),
-            (2, 2, FDist(3.0, 3.0), "c30753193b7cc7f0", "9c75a8c7ad645fee"),
-            (3, 3, ChiSquare(3.0), "291e76f9901fd814", "10291372e50e2b21"),
-            (3, 3, FDist(3.0, 3.0), "a6dd0369facb4c02", "224e62d7cbe3a984"),
-            (5, 10, ChiSquare(5.0), "30aa763e0f19a0c2", "87c35926077c1911"),
-            (5, 10, FDist(3.0, 3.0), "f672fa4522a66132", "0639a24a9799d0d4"),
-            (10, 50, ChiSquare(10.0), "1446b5d3bae7c123", "d09427b0e7616464"),
-            (10, 50, FDist(3.0, 3.0), "1f41a130a89719b8", "578bd714a142197e"),
-        ],
+        "n, n_points, law, tmax_digest, pmax_digest", CASES,
+        ids=[f"{n}-{n_points}-{law.family}" for n, n_points, law, _, _ in CASES],
     )
     def test_digests(self, n, n_points, law, tmax_digest, pmax_digest):
         config = _random_config(n, n_points)
         tmax = [sample_tmax(config, law, trials, seed=7) for trials in (1, 16384, 16385, 50000)]
         sim = simulate_pmax(config, law, FROZEN_GRID, 300000, seed=7)
         assert (_digest(tmax), _digest([sim.estimates])) == (tmax_digest, pmax_digest)
+
+    def test_raw_draws_are_pinned(self):
+        # chunk 0's squared radii and Gaussian rows for seed 7, in draw order
+        # and before any product: where a digest above differs on another
+        # host and this one holds, only the BLAS product moved, not the draws
+        generator = montecarlo._chunk_generator(7, 0)
+        r_sq = FDist(3.0, 3.0).sample(generator, CHUNK_TRIALS)
+        z = generator.standard_normal((CHUNK_TRIALS, 10))
+        assert _digest([r_sq, z]) == "9695819f0e6695ea"
 
     def test_worker_count_moves_no_bit(self, monkeypatch):
         config, law = _random_config(5, 10), FDist(3.0, 3.0)
@@ -164,6 +176,38 @@ class TestFrozenBits:
             sample_tmax(benchmark_config, law, 3 * CHUNK_TRIALS + 5, seed=0)
         with pytest.raises(RuntimeError, match="last chunk"):
             simulate_pmax(benchmark_config, law, FROZEN_GRID, 3 * CHUNK_TRIALS + 5, seed=0)
+
+
+class TestChunkStreams:
+    """Chunk j of seed s draws from SFC64 seeded by the j-th child of
+    ``SeedSequence(s)``; these tests hold apart from any digest."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("chunk_index", [0, 1, 5])
+    def test_chunk_draws_from_the_spawned_child(self, seed, chunk_index):
+        child = np.random.SeedSequence(seed).spawn(chunk_index + 1)[chunk_index]
+        oracle = np.random.Generator(np.random.SFC64(child))
+        generator = montecarlo._chunk_generator(seed, chunk_index)
+        assert np.array_equal(generator.standard_normal(1000), oracle.standard_normal(1000))
+        assert np.array_equal(generator.gamma(1.5, 2.0, 1000), oracle.gamma(1.5, 2.0, 1000))
+
+    def test_chunks_and_seeds_draw_apart(self):
+        def draws(seed, chunk_index):
+            return montecarlo._chunk_generator(seed, chunk_index).standard_normal(64)
+
+        assert not np.any(draws(0, 0) == draws(0, 1))
+        assert not np.any(draws(0, 0) == draws(2**64 - 1, 0))
+
+    @pytest.mark.parametrize("law, marginal", [
+        # one point: the field is <u, xi>, standard normal under chi-square(3)
+        # and t_3 / sqrt(3) under F(3, 3), whose xi is g / sqrt(chi-square(3))
+        (ChiSquare(3.0), ndtr),
+        (FDist(3.0, 3.0), lambda x: student_t.cdf(math.sqrt(3.0) * x, 3.0)),
+    ], ids=["chi_square", "f"])
+    def test_multi_chunk_sample_has_the_exact_marginal(self, law, marginal):
+        config = PointConfiguration.from_points([[1.0, 0.0, 0.0]])
+        tmax = sample_tmax(config, law, 5 * CHUNK_TRIALS + 3, seed=7)
+        assert kstest(tmax, marginal).pvalue >= 1e-3
 
 
 class TestAvailableCpus:
@@ -335,8 +379,8 @@ class TestValidation:
             sample_tmax(benchmark_config, t_law, 0, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
-    def test_seed_must_fit_the_philox_key(self, benchmark_config, t_law, seed):
-        # masked to 64 bits, such a seed would repeat the draws of another one
+    def test_seed_must_lie_in_the_64_bit_range(self, benchmark_config, t_law, seed):
+        # [0, 2**64) is the command line's seed range, for the library as well
         message = rf"seed must lie in \[0, 2\*\*64\), got {seed}"
         with pytest.raises(ValueError, match=message):
             simulate_pmax(benchmark_config, t_law, np.array([1.0]), 10, seed=seed)
