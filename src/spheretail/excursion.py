@@ -35,11 +35,12 @@ normal directions use the fixed equal-weight rule of
 deterministic.  Each direction enters at its local angle theta through
 the psi-grid coordinate pi/2 - theta, an arctan2 that the geometry's one
 local-angle kernel returns; for n > 3 the kernel reads the shared Sobol
-rows unprojected.  The averages are linear in the interpolant's cubic
-pieces: power moments of the directions' offsets within each piece are
-accumulated once per configuration (and kept for the last four
-configurations; at n = 10, N = 1000 one set holds 131 MB), and every
-average is then one dot product with the piece coefficients.  The spline
+rows unprojected.  The corrections enter only through their sum over
+the points, which is linear in the interpolant's cubic pieces: power
+moments of the offsets within each piece of every direction of every point
+are pooled once per configuration (and kept for the last four
+configurations; one set holds 128 KiB, or 224 KiB at n > 3, whatever N),
+and the sum is then one dot product with the piece coefficients.  The spline
 is transient: a row's three numbers (P_tube, P_tube - P, standard error)
 are kept per (configuration, law, c), for the last four, and the marginal
 reads only the cumulative's total.  A configuration keys these caches by
@@ -245,12 +246,6 @@ def marginal_tail(law, n, c):
 # normal-direction moments
 # ----------------------------------------------------------------------
 
-class _ProfileMoments(NamedTuple):
-    per_point: np.ndarray  # (N, 4 * pieces): per-point means of s^k, k <= 3
-    pooled: np.ndarray     # (degree + 1, pieces): sums of s^k over all points
-    size: int              # directions per point
-
-
 @lru_cache(maxsize=4)
 def _profile_moments(config):
     """Power moments of the local angles over ``config.normal_directions``.
@@ -260,30 +255,28 @@ def _profile_moments(config):
     arctan2 of the largest cotangent numerator and the direction's normal
     norm, computed for n > 3 from the raw shared Sobol rows.  x lies in
     piece j of the psi grid, at offset s = x - psi_j.  Any cubic spline on
-    that grid then averages over the directions of point i as
-    ``per_point[i] @ coef`` (coefficients from ``_hermite_pieces``), and for n > 3
-    its square sums over all directions through ``pooled``.  A mixture's
-    spline is read once through these moments and dropped; they are kept.
+    that grid then sums over every direction of every point as the sum of
+    ``pooled[:4].ravel() * coef`` (coefficients from ``_hermite_pieces``), and
+    for n > 3 its square does so through ``pooled[:7]``.  The moments are one
+    measure per configuration, the same size for every N; a mixture's spline
+    is read once through them and dropped, and they are kept.
+
+    Returns ``(pooled, size)``: the (degree + 1, pieces) sums of s^k over
+    every direction of every point, and the number of directions per point.
     """
     plan = _plan(config.dim, 1, math.pi / 2.0)
     pieces = plan.h.size
-    n_points = config.n_points
     degree = 6 if config.dim > 3 else 3  # s^4..s^6 serve only the n > 3 se
-    per_point = np.empty((n_points, 4, pieces))
     pooled = np.zeros((degree + 1, pieces))
-    for i in range(n_points):
+    for i in range(config.n_points):
         x = config._rule_psi_angles(i)
         j = _psi_piece(plan, x)
         s = x - plan.psi[j]
         power = np.ones_like(s)
         for k in range(degree + 1):
-            sums = np.bincount(j, weights=power, minlength=pieces)
-            pooled[k] += sums
-            if k < 4:
-                per_point[i, k] = sums
+            pooled[k] += np.bincount(j, weights=power, minlength=pieces)
             power *= s
-    per_point /= x.size
-    return _ProfileMoments(per_point.reshape(n_points, -1), pooled, x.size)
+    return pooled, x.size
 
 
 # ----------------------------------------------------------------------
@@ -314,19 +307,22 @@ def _evaluation(config, law, c):
     as ``_positive_threshold`` read it (so ``True`` never meets a cached 1.0).
 
     Everything comes from the one mixture of (law, n, c): its total gives
-    the tube sum, and its interpolant's pieces, applied to the precomputed
-    direction moments, give the per-point overlap corrections (half the
-    mixture mass below each direction's cos^2 local angle, averaged) and
-    the iid standard error of those direction averages (zero on the
-    deterministic n <= 3 paths).
+    the tube sum, and its interpolant's pieces, applied to the pooled
+    direction moments, give the sum of the per-point overlap corrections
+    (half the mixture mass below each direction's cos^2 local angle,
+    averaged over the point's directions).  For n > 3 the standard error
+    is the iid error of that sum over all (point, direction) pairs,
+    sqrt(N var / m) with var the variance over the N m pairs and m the
+    directions per point; it is zero on the deterministic n <= 3 paths.
     """
     plan = _plan(config.dim, 1, math.pi / 2.0)
     cum = _cumulative_mixture(law, plan, c)
     tube = config.n_points * (0.5 * float(cum[-1]))
     coef = _pchip_pieces(plan, cum)
-    moments = _profile_moments(config)
-    means = 0.5 * (moments.per_point @ coef)
-    corrections = float(np.sum(means))
+    pooled, size = _profile_moments(config)
+    # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits a dot of this
+    # length across its threads, and the bits would follow the thread count
+    corrections = 0.5 * float(np.sum(pooled[:4].ravel() * coef)) / size
     if config.dim <= 3:
         return tube, corrections, 0.0
     # sum of squares of the interpolant over every direction, from the
@@ -335,8 +331,8 @@ def _evaluation(config, law, c):
     square = np.zeros((7, coef.shape[1]))
     for k in range(4):
         square[k:k + 4] += coef[k] * coef
-    second_moment = 0.25 * float(square.ravel() @ moments.pooled.ravel()) / moments.size
-    var = max(second_moment - float(np.sum(means * means)), 0.0) / moments.size
+    second_moment = 0.25 * float(np.sum(square * pooled)) / size
+    var = max(second_moment - corrections**2 / config.n_points, 0.0) / size
     return tube, corrections, math.sqrt(var)
 
 
@@ -359,8 +355,9 @@ def p_exact(config, law, c, with_se=False):
     Decomposes the maximum over the points into disjoint nearest-point
     events and evaluates each through the beta-mixture integral, averaging
     over normal directions.  When ``with_se`` is true, also returns the
-    Monte Carlo standard error of the direction average (zero on the
-    deterministic n <= 3 paths).
+    Monte Carlo standard error of the direction average, the iid error over
+    all (point, direction) pairs for n > 3 and zero on the deterministic
+    n <= 3 paths.
     """
     tube, corrections, se = _evaluation(config, law, _positive_threshold(c))
     value = tube - corrections
@@ -407,8 +404,8 @@ def _rv_limit(config, gamma):
     cdf = _hermite_pieces(
         plan, _special().betainc(p, q, plan.y), _beta_density(plan.psi, p, q)
     )
-    per_point = _profile_moments(config).per_point
-    mean = float(np.sum(per_point @ cdf)) / config.n_points
+    pooled, size = _profile_moments(config)
+    mean = float(np.sum(pooled[:4].ravel() * cdf)) / (size * config.n_points)
     # the cubic dips below 0 on the first piece by amounts far below any
     # nonzero average, so only an average that vanishes can come out negative
     return max(mean, 0.0)

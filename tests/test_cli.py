@@ -501,10 +501,10 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
 # host may differ (ROADMAP, known risks); such a difference is a finding, not
 # a reason to re-pin.
 PINNED_REPRODUCE = {
-    "t": "6b1638b7a3108add485f70da178fb75cbc9394a7e6956806efbcb766dcad8b9a",
-    "lognormal": "74e6b4257cd6c0662e1dd75f4b2df9eca37bbf5fb1cadfea712c07f7b5b70630",
-    "bessel": "3f8bb68ac6b682bb091fd68deb727885f06ce010a78c8daf649fb66866788e22",
-    "gauss": "84e6f8aaffe8bbccbc1a0957dee1199fbefee49f23536ae6db7fa4c43cd049ce",
+    "t": "1669db3ad86aba8575c2a1014fb2261fd89fe6f65cc7b4cd9aad2f89ea7bfe36",
+    "lognormal": "37e6648ab11bf3e4b55537b06ebb10f38155585423ea5705fe7f1f873abbbd27",
+    "bessel": "a41e51729a9de540bf850e61e6de16635960722c35e24af1c503bce56540118b",
+    "gauss": "6476b2c0977160f3813abbe043e81e9c09eefec55258cfb868ae1edf89f18097",
 }
 
 

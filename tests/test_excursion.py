@@ -251,7 +251,7 @@ class TestPExact:
         )
         value, se = p_exact(config, ChiSquare(5.0), 2.0, with_se=True)
         assert value == float.fromhex("0x1.48b226dc51835p-4")  # 0.08024802379540648
-        assert se == float.fromhex("0x1.1f89a6a7e893cp-14")  # 6.85543296854761e-05
+        assert se == float.fromhex("0x1.2fa8bb1cf84f5p-14")  # 7.239797237403366e-05
 
 
 class TestDeltaExact:
@@ -284,6 +284,9 @@ MOMENT_CONFIGS = [
     PointConfiguration.from_points([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     PointConfiguration.from_points([[1.0, 0.0], [-1.0, 0.0]]),
 ]
+
+# n > 3 points that differ only in how the direction rule meets them
+EQUICORRELATED = PointConfiguration.from_correlation(equicorrelated(5, 0.3))
 
 
 # the reproduce presets plus a light-tailed and a heavy-tailed law of higher degree
@@ -366,14 +369,15 @@ class TestScipyBitIdentity:
     def test_rv_limit_is_cubic_hermite_spline(self, n):
         config = random_config(n, 4, seed=40 + n)
         plan = excursion._plan(n, 1, math.pi / 2.0)
-        per_point = excursion._profile_moments(config).per_point
+        pooled, size = excursion._profile_moments(config)
         for gamma in (0.5, 1.5, 5.0):
             p, q = gamma + 0.5, (n - 1) / 2.0
             psi = plan.psi
             values, slopes = betainc(p, q, np.sin(psi) ** 2), excursion._beta_density(psi, p, q)
             coef = scipy_pieces(CubicHermiteSpline(psi, values, slopes))
             assert np.array_equal(excursion._hermite_pieces(plan, values, slopes), coef)
-            expected = max(float(np.sum(per_point @ coef)) / config.n_points, 0.0)
+            mean = float(np.sum(pooled[:4].ravel() * coef)) / (size * config.n_points)
+            expected = max(mean, 0.0)
             assert excursion._rv_limit.__wrapped__(config, gamma) == expected
 
     def test_one_tail_call_per_build(self, single_point, gauss_law):
@@ -430,28 +434,40 @@ class TestDirectionMoments:
             expected = np.clip(np.searchsorted(psi, x, side="right") - 1, 0, psi.size - 2)
             assert np.array_equal(excursion._psi_piece(plan, x), expected), psi_hi
 
-    @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
+    @pytest.mark.parametrize(
+        "config", [*MOMENT_CONFIGS, EQUICORRELATED], ids=lambda g: f"n{g.dim}N{g.n_points}"
+    )
     def test_corrections_and_se_match_per_node_pchip(self, config):
         n = config.dim
+        angles = per_node_profiles(config)
+        size = angles[0].size
         for law in (ChiSquare(float(n)), FDist(float(n), 3.0)):
             for c in (0.5, 2.0, 5.0):
                 plan = excursion._plan(n, 1, math.pi / 2.0)
                 cum = excursion._cumulative_mixture(law, plan, c)
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     mixture = PchipInterpolator(plan.psi, cum)
-                corrections = var = 0.0
-                for x in per_node_profiles(config):
-                    vals = 0.5 * mixture(x)
-                    corrections += vals.mean()
-                    var += vals.var() / vals.size
+                values = [0.5 * mixture(x) for x in angles]
+                corrections = sum(vals.mean() for vals in values)
                 tube = p_tube(config, law, c)
                 value, se = p_exact(config, law, c, with_se=True)
                 assert delta_exact(config, law, c) == pytest.approx(
                     corrections / tube, rel=1e-13, abs=0.0
                 )
                 assert value == pytest.approx(tube - corrections, rel=1e-13, abs=0.0)
-                expected_se = math.sqrt(var) if n > 3 else 0.0
-                assert se == pytest.approx(expected_se, rel=1e-13, abs=0.0)
+                if n <= 3:
+                    assert se == 0.0
+                    continue
+                # the iid error over all (point, direction) pairs, and the
+                # per-point form sum_i var_i it replaced, which by
+                # Cauchy-Schwarz is never larger
+                pooled_se = math.sqrt(config.n_points * np.concatenate(values).var() / size)
+                per_point_se = math.sqrt(sum(vals.var() for vals in values) / size)
+                assert se == pytest.approx(pooled_se, rel=1e-13, abs=0.0)
+                assert se >= per_point_se * (1.0 - 1e-13)
+                if config is EQUICORRELATED:
+                    # alike points have nearly equal direction means
+                    assert se == pytest.approx(per_point_se, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
     def test_rv_limit_matches_per_node_betainc(self, config):
@@ -463,8 +479,8 @@ class TestDirectionMoments:
             assert delta_rv_limit(config, gamma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_direction_moment_caches_stay_small(self):
-        # one configuration's direction moments at (n, N) = (10, 50) hold
-        # 6.5 MB; a process that evaluates many index sets keeps the last four
+        # one configuration's direction moments hold 224 KiB at n > 3, for
+        # every N; a process that evaluates many index sets keeps the last four
         caches = (excursion._profile_moments, excursion._rv_limit)
         for cache in caches:
             cache.cache_clear()
@@ -479,7 +495,7 @@ class TestDirectionMoments:
             tracemalloc.stop()
             for cache in caches:
                 cache.cache_clear()
-        assert held < 60 * 2**20
+        assert held < 8 * 2**20
 
     def test_rv_limit_is_not_negative_where_it_vanishes(self):
         # rounding leaves cos^2 angles of 1.8e-34 at this antipodal pair, where
