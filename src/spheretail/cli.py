@@ -8,7 +8,7 @@ four radial laws).  All output is CSV with a header row; floats carry 17
 significant digits so files are bit-stable across runs.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
-failure.
+failure or a usage error from the argument parser.
 """
 
 import argparse
@@ -26,6 +26,19 @@ from .geometry import PointConfiguration
 from .radial_laws import Bessel, ChiSquare, FDist, LogNormal, _as_real, law_from_dict
 
 __all__ = ["ExperimentConfig", "run", "main", "REPRODUCE_CASES"]
+
+
+# The keys an experiment file may hold, and those of its ``c_grid`` object;
+# any other key, such as a misspelt "trials", is refused rather than ignored.
+_CONFIG_KEYS = ("points", "correlation", "law", "c_grid", "trials", "seed", "output")
+_GRID_KEYS = ("start", "stop", "step")
+
+
+def _refuse_unknown_keys(name, spec, keys):
+    """Refuse, by name, the first key of the object ``spec`` outside ``keys``."""
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"{name} has no key {key!r}; expected {list(keys)}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,7 @@ class ExperimentConfig:
                 raw = json.load(handle)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {raw!r}")
+        _refuse_unknown_keys("config", raw, _CONFIG_KEYS)
         has_points = "points" in raw
         has_corr = "correlation" in raw
         if has_points == has_corr:
@@ -73,13 +87,12 @@ class ExperimentConfig:
         elif args.c_grid:
             grid = _parse_grid(args.c_grid)
         elif grid_spec is not None:
-            if not isinstance(grid_spec, dict) or not {"start", "stop", "step"} <= grid_spec.keys():
+            if not isinstance(grid_spec, dict) or not set(_GRID_KEYS) <= grid_spec.keys():
                 raise ValueError(
                     f"c_grid must be an object with 'start', 'stop' and 'step', got {grid_spec!r}"
                 )
-            bounds = [
-                _as_real(f"c_grid {key}", grid_spec[key]) for key in ("start", "stop", "step")
-            ]
+            _refuse_unknown_keys("c_grid", grid_spec, _GRID_KEYS)
+            bounds = [_as_real(f"c_grid {key}", grid_spec[key]) for key in _GRID_KEYS]
             grid = _build_grid(*bounds)
         else:
             grid = _build_grid(1.0, 8.0, 0.5)
@@ -111,18 +124,14 @@ def _build_grid(start, stop, step):
         raise ValueError("grid step must be positive")
     if not start < stop:
         raise ValueError("grid start must be below stop")
-    if start <= 0.0:
-        raise ValueError("grid thresholds must be positive")
     span = (stop - start) / step + 1e-9  # inf where the quotient overflows
     if span >= MAX_GRID_ROWS:
         raise ValueError(
             f"grid {start}:{stop}:{step} has more than {MAX_GRID_ROWS} thresholds"
         )
     count = int(math.floor(span)) + 1
-    grid = start + step * np.arange(count)
-    if not np.all(np.diff(grid) > 0.0):  # a step below the spacing of doubles
-        raise ValueError("c_grid must be strictly increasing")
-    return grid
+    # a step below the spacing of doubles repeats a threshold
+    return excursion._threshold_grid(start + step * np.arange(count))
 
 
 def _parse_grid(text):

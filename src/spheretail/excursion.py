@@ -291,6 +291,16 @@ def _positive_threshold(c):
     return c
 
 
+def _threshold_grid(c_grid):
+    """A nonempty 1-d grid, each entry by ``_positive_threshold``, strictly increasing."""
+    if np.ndim(c_grid) != 1 or len(c_grid) == 0:
+        raise ValueError("c_grid must be a nonempty 1-d array")
+    grid = np.array([_positive_threshold(c) for c in c_grid])
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError("c_grid must be strictly increasing")
+    return grid
+
+
 def p_tube(config, law, c):
     """Bonferroni sum N Pr(<u_1, xi> >= c).
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursion import _check_tube, p_tube
-from .radial_laws import _as_integer, _as_real
+from .excursion import _check_tube, _threshold_grid, p_tube
+from .radial_laws import _as_integer
 
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
@@ -171,13 +171,8 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     grid by binary search and exceedance counts accumulate per grid point.
     Standard errors are the binomial sqrt(p(1-p)/trials).
     """
-    if np.ndim(c_grid) != 1 or len(c_grid) == 0:
-        raise ValueError("c_grid must be a nonempty 1-d array")
-    c_grid = np.array([_as_real("threshold", c) for c in c_grid])
-    if not np.all(np.diff(c_grid) > 0.0):
-        raise ValueError("c_grid must be strictly increasing")
-    if not np.all(c_grid > 0.0):
-        raise ValueError("thresholds must be positive")
+    c_grid = _threshold_grid(c_grid)
+    c_grid.setflags(write=False)
     trials, seed = _check_draws(trials, seed)
 
     def chunk_counts(chunk_index, size):
@@ -192,10 +187,8 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     std_errors = np.sqrt(estimates * (1.0 - estimates) / trials)
     estimates.setflags(write=False)
     std_errors.setflags(write=False)
-    grid = c_grid.copy()
-    grid.setflags(write=False)
     return SimulationResult(
-        c_grid=grid,
+        c_grid=c_grid,
         estimates=estimates,
         standard_errors=std_errors,
         trials=trials,

@@ -274,6 +274,11 @@ class TestValidationFailures:
          "law parameter 'nu' must be a number, got None"),
         (base_config(law={"family": ["x"]}), "unknown law family ['x']"),
         (base_config(output=1), "output must be a file path, got 1"),
+        # a misspelt key was once ignored, and its default taken
+        (base_config(trails=500), "config has no key 'trails'; expected ['points', "
+         "'correlation', 'law', 'c_grid', 'trials', 'seed', 'output']"),
+        (base_config(c_grid={"start": 1.0, "stop": 3.0, "step": 0.5, "stpo": 9}),
+         "c_grid has no key 'stpo'; expected ['start', 'stop', 'step']"),
         (base_config(output=5), "output must be a file path, got 5"),
         # numbers are JSON numbers: no bool, no numeric string, and an integer
         # beyond double range reads as infinite
@@ -320,12 +325,23 @@ class TestValidationFailures:
         assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "threshold"])
+    def test_unknown_keys_are_refused(self, tmp_path, capsys, command):
+        # this file once ran 10000 trials at seed 0 and exited 0
+        cfg = write_config(tmp_path / "cfg.json", trails=500, sead=7,
+                           c_grid={"start": 1.0, "stop": 3.0, "step": 0.5, "stpo": 9})
+        out = tmp_path / "x.csv"
+        extra = ["--target", "1e-3"] if command == "threshold" else []
+        assert cli.run([command, "--config", str(cfg), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: config has no key 'trails'; ")
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("grid, message", [
         ("3:1:0.5", "grid start must be below stop"),
         ("1:2:0", "grid step must be positive"),
         ("1:2:-0.5", "grid step must be positive"),
-        ("0:2:0.5", "grid thresholds must be positive"),
-        ("-1:2:0.5", "grid thresholds must be positive"),
+        ("0:2:0.5", "threshold must be positive"),
+        ("-1:2:0.5", "threshold must be positive"),
         ("1:2", "--c-grid expects START:STOP:STEP"),
         ("1:2:0.5:1", "--c-grid expects START:STOP:STEP"),
         ("1:2:x", "grid start, stop and step must be numbers, got '1':'2':'x'"),

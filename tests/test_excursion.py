@@ -148,6 +148,21 @@ class TestPTube:
             expected = 1.5 * erfc(c / math.sqrt(2.0))
             assert p_tube(benchmark_config, gauss_law, c) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("case", [*REPRODUCE_CASES, "chi_square", "f"])
+    def test_equals_the_report_row_to_the_bit(self, benchmark_config, case):
+        # approx, tube solves and estimate_delta read P_tube from p_tube, one
+        # mixture total; rows read it from _evaluation, which also forms the
+        # spline pieces: both must give the same bits
+        if case in REPRODUCE_CASES:
+            config, law = benchmark_config, REPRODUCE_CASES[case]["law"]
+            grid = cli._build_grid(*REPRODUCE_CASES[case]["grid"])
+        else:
+            config = random_config(10, 50, 7)
+            law = ChiSquare(10.0) if case == "chi_square" else FDist(10.0, 3.0)
+            grid = [1.0, 2.0, 4.0, 8.0]
+        rows = [build_report(config, law, c).p_tube for c in grid]
+        assert [p_tube(config, law, c) for c in grid] == rows
+
 
 class TestPExact:
     def test_single_point_equals_marginal(self, single_point, t_law):

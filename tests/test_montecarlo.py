@@ -359,9 +359,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate_pmax(benchmark_config, t_law, np.array([]), 10, seed=0)
         # NaN compares false both ways, so it must fail the checks, not pass them
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="^threshold must be positive$"):
             simulate_pmax(benchmark_config, t_law, np.array([1.0, np.nan]), 10, seed=0)
-        with pytest.raises(ValueError, match="thresholds must be positive"):
+        with pytest.raises(ValueError, match="^threshold must be positive$"):
             simulate_pmax(benchmark_config, t_law, np.array([np.nan]), 10, seed=0)
 
     @pytest.mark.parametrize("grid", [[True, 2.0], ["1", "2"], [1.0, None], np.array([True])],
