@@ -14,8 +14,8 @@ for any row z the cotangent of the angle is max(0, max_j q_ij . z) / |z_perp|
 with |z_perp|^2 = |z|^2 - (u_i . z)^2: a row stands for its normalised
 projection onto the normal sphere, and nothing is projected.  For n > 3
 the rule's averages therefore run on the raw shared Sobol rows, whose
-squared norms are computed once per sample, in blocks of
-``_BLOCK_DIRECTIONS`` directions, so no (N - 1) x m product is ever held.
+squared norms are computed once per sample, and ``_column_max`` takes the
+maximum over j in blocks, so no (N - 1) x m product is ever held.
 
 The Sobol sample comes from ``_sobol_points``, a numpy generator that equals
 scipy's ``qmc.Sobol(d, scramble=True, seed=_QMC_SEED)`` bit for bit without
@@ -52,7 +52,11 @@ _QMC_SEED = 20060703    # fixed seed of the scrambled Sobol direction sample
 _SOBOL_BITS = 30        # bits per Sobol coordinate, as in scipy's qmc.Sobol
 # row d: the primitive polynomial of coordinate d, then its initial direction numbers
 _SOBOL_TABLE = Path(__file__).with_name("_sobol_directions.npy")
-_BLOCK_DIRECTIONS = 2048  # directions per product block of the local-angle kernel
+# entries of one product block of ``_column_max``, 1 MiB of doubles: memory a
+# worker thread frees stays with its own malloc arena.  A block is a power of
+# two of columns, as the BLAS product's bits depend on its size: blocks of 1310
+# or 655 columns moved them by an ulp, no power of two from 2 to 2**14 did
+_BLOCK_ENTRIES = 1 << 17
 # a row whose normal part has squared norm at most this share of its own
 # squared norm lies along u_i, to rounding, and has no local angle
 _NORMAL_TOL = 1e-12
@@ -244,11 +248,20 @@ class PointConfiguration:
         Raises
         ------
         ValueError
-            If ``i`` is not a point index, or a row has no component normal
-            to ``u_i``.
+            If ``i`` is not a point index, the rows are not of width n, a row
+            is not finite, or a row has no component normal to ``u_i``.
         """
         i = self._point_index(i)
         directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        if directions.ndim != 2 or directions.shape[1] != self.dim:
+            raise ValueError(
+                f"directions must have width {self.dim}, got shape {directions.shape}")
+        if not np.all(np.isfinite(directions)):
+            raise ValueError("directions must be finite")
+        # each row times 2**-e, e the frexp exponent of its largest |entry|:
+        # exact, and its squared norm then neither overflows nor underflows
+        exponent = np.frexp(np.max(np.abs(directions), axis=1))[1]
+        directions = np.ldexp(directions, -exponent[:, None])
         return np.sin(self._psi_angles(i, directions.T)) ** 2
 
     def _rule_psi_angles(self, i):
@@ -281,11 +294,7 @@ class PointConfiguration:
         normal_sq = norms_sq - (u @ columns) ** 2
         if np.any(normal_sq <= _NORMAL_TOL * norms_sq):
             raise ValueError(f"a direction has no component normal to point {i}")
-        ahead = np.empty(columns.shape[1])
-        for start in range(0, columns.shape[1], _BLOCK_DIRECTIONS):
-            block = columns[:, start:start + _BLOCK_DIRECTIONS]
-            np.max(q @ block, axis=0, initial=0.0, out=ahead[start:start + _BLOCK_DIRECTIONS])
-        return np.arctan2(ahead, np.sqrt(normal_sq))
+        return np.arctan2(_column_max(q, columns, 0.0), np.sqrt(normal_sq))
 
     def nearest_neighbor_direction(self, i):
         """Unit tangent at ``u_i`` toward its nearest neighbor.
@@ -334,6 +343,23 @@ class PointConfiguration:
             return np.vstack([v0, -v0])
         phi = np.arange(PHI_NODES) * (2.0 * math.pi / PHI_NODES)
         return np.outer(np.cos(phi), v0) + np.outer(np.sin(phi), np.cross(u, v0))
+
+
+def _block_columns(n_rows):
+    """Columns per block of ``_column_max``: the largest power of two within
+    ``_BLOCK_ENTRIES`` entries of ``n_rows`` rows, and at least 1."""
+    return 1 << (max(1, _BLOCK_ENTRIES // max(1, n_rows)).bit_length() - 1)
+
+
+def _column_max(rows, columns, floor=-np.inf):
+    """max(floor, max_j rows[j] . z) for each column z of ``columns``, formed
+    in blocks of ``_block_columns(len(rows))`` columns; ``floor`` with no rows."""
+    block = _block_columns(len(rows))
+    result = np.empty(columns.shape[1])
+    for start in range(0, columns.shape[1], block):
+        np.max(rows @ columns[:, start:start + block], axis=0, initial=floor,
+               out=result[start:start + block])
+    return result
 
 
 @lru_cache(maxsize=2)

@@ -34,31 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursion import _check_tube, _threshold_grid, p_tube
+from .geometry import _column_max
 from .radial_laws import _as_integer
 
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
 CHUNK_TRIALS = 1 << 14
 
-# entries of the N x block product that one worker forms at a time: 2 MiB of
-# doubles, since memory a worker thread frees stays with its own malloc arena.
-# A block is the largest power of two of trials within this budget (one block
-# per chunk for N <= 16), because the BLAS product's bits depend on the block
-# size: blocks of 1310 or 655 trials moved them by an ulp, no power of two
-# from 2 to 2**14 did
-_BLOCK_ENTRIES = 1 << 18
-
 # chunks in flight (queued, running or done and not yet taken) per worker:
 # enough to keep every worker busy while the caller takes results, and a
 # bound on the queue, whose every entry holds about 2 KB
 _CHUNKS_PER_WORKER = 2
-
-
-def _block_trials(n_points):
-    """Trials per block at ``n_points`` points: the largest power of two of at
-    most ``_BLOCK_ENTRIES / n_points``, capped at ``CHUNK_TRIALS``, at least 1."""
-    fitting = max(1, min(CHUNK_TRIALS, _BLOCK_ENTRIES // n_points))
-    return 1 << (fitting.bit_length() - 1)
 
 
 def _check_draws(trials, seed):
@@ -148,10 +134,7 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
     generator = _chunk_generator(seed, chunk_index)
     r_sq = law.sample(generator, size)
     z = generator.standard_normal((size, config.dim))
-    block = _block_trials(len(config.points))
-    tmax = np.empty(size)
-    for start in range(0, size, block):
-        np.max(config.points @ z[start:start + block].T, axis=0, out=tmax[start:start + block])
+    tmax = _column_max(config.points, z.T)
     r_sq /= np.einsum("ij,ij->i", z, z)
     tmax *= np.sqrt(r_sq, out=r_sq)
     return tmax

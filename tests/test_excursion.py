@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import beta as beta_function
 from scipy.special import betainc, erfc, ndtr
 
-from spheretail import excursion
+from spheretail import excursion, geometry
 from spheretail import (
     Bessel,
     Chi,
@@ -483,6 +483,17 @@ class TestDirectionMoments:
                 if config is EQUICORRELATED:
                     # alike points have nearly equal direction means
                     assert se == pytest.approx(per_point_se, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("n, n_points, smallest", [(3, 3, 8), (5, 10, 8), (10, 50, 12)])
+    def test_block_size_moves_no_moment(self, monkeypatch, n, n_points, smallest):
+        # the local-angle kernel forms its product in power-of-two blocks of
+        # columns within geometry._BLOCK_ENTRIES: no budget moves a bit
+        config = random_config(n, n_points, seed=n_points)
+        expected = excursion._profile_moments.__wrapped__(config)[0]
+        for log2_budget in range(smallest, 23):
+            monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 1 << log2_budget)
+            pooled = excursion._profile_moments.__wrapped__(config)[0]
+            assert np.array_equal(pooled, expected), log2_budget
 
     @pytest.mark.parametrize("config", MOMENT_CONFIGS, ids=lambda g: f"n{g.dim}N{g.n_points}")
     def test_rv_limit_matches_per_node_betainc(self, config):

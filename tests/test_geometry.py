@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,7 @@ class TestLocalAngleKernel:
             u = benchmark_config.points[i]
             dirs = benchmark_config.normal_directions(i)[::97]
             a = benchmark_config.cos_sq_local_angle(i, dirs)
-            for scale in (2.0, 0.3, 7.5):
+            for scale in (2.0, 0.3, 7.5, 1e200, 1e-200):
                 assert np.max(np.abs(benchmark_config.cos_sq_local_angle(i, scale * dirs) - a)) <= 1e-15
             for shift in (0.5, -0.5, rng.uniform(-0.5, 0.5)):
                 moved = dirs + shift * u
@@ -274,6 +275,32 @@ class TestLocalAngleKernel:
         v0 = benchmark_config.nearest_neighbor_direction(0)
         a = benchmark_config.cos_sq_local_angle(0, [v0, 2.0 * v0, v0 + 0.5 * u])
         assert np.allclose(a, 0.625, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n, n_points", [(3, 3), (5, 10), (10, 50)])
+    def test_a_row_keeps_its_bits_at_any_power_of_two(self, n, n_points):
+        # rows are scaled by a power of two before any square is formed, so a
+        # row keeps its bits at any such scale, where its squared norm overflows too
+        config = random_config(n, n_points, seed=n_points)
+        rows = np.random.default_rng(100 + n).standard_normal((500, n))
+        for i in (0, n_points - 1):
+            a = config.cos_sq_local_angle(i, rows)
+            for exponent in (600, -600, 1000, -1000):
+                assert np.array_equal(config.cos_sq_local_angle(i, np.ldexp(rows, exponent)), a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_row_that_is_not_finite_is_refused(self, benchmark_config, bad):
+        rows = benchmark_config.normal_directions(0)[:3].copy()
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="^directions must be finite$"):
+            benchmark_config.cos_sq_local_angle(0, rows)
+
+    @pytest.mark.parametrize("shape, read", [
+        ((2,), (1, 2)), ((4,), (1, 4)), ((5, 4), (5, 4)), ((2, 2, 3), (2, 2, 3)),
+    ])
+    def test_rows_of_another_width_are_refused(self, benchmark_config, shape, read):
+        message = re.escape(f"directions must have width 3, got shape {read}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            benchmark_config.cos_sq_local_angle(0, np.ones(shape))
 
     def test_row_along_the_point_raises(self, benchmark_config):
         u = benchmark_config.points[0]

@@ -22,7 +22,7 @@ from spheretail import (
     sample_tmax,
     simulate_pmax,
 )
-from spheretail import montecarlo
+from spheretail import geometry, montecarlo
 from spheretail.montecarlo import CHUNK_TRIALS
 
 
@@ -157,17 +157,17 @@ class TestFrozenBits:
         trials = 2 * CHUNK_TRIALS + 5
         expected = None
         for budget in (1 << 8, 1 << 12, 1 << 18, 1 << 22):
-            monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", budget)
+            monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", budget)
             estimates = simulate_pmax(config, law, FROZEN_GRID, trials, seed=3).estimates
             if expected is None:
                 expected = estimates
             assert np.array_equal(estimates, expected)
 
     def test_block_sizes(self, monkeypatch):
-        assert [montecarlo._block_trials(n) for n in (1, 16, 17, 50, 1000)] == [
-            CHUNK_TRIALS, CHUNK_TRIALS, 8192, 4096, 256]
-        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1 << 8)
-        assert [montecarlo._block_trials(n) for n in (1, 3, 256, 257, 1000)] == [
+        assert [geometry._block_columns(n) for n in (1, 16, 17, 50, 1000)] == [
+            131072, 8192, 4096, 2048, 128]
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 1 << 8)
+        assert [geometry._block_columns(n) for n in (1, 3, 256, 257, 1000)] == [
             256, 64, 1, 1, 1]
 
     def test_chunk_exception_reaches_caller(self, benchmark_config):
