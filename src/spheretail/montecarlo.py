@@ -17,6 +17,14 @@ A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
 max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
 on the raw Gaussian rows, and each trial is scaled once, by sqrt(R**2 / |z|**2).
 
+Since |<u_i, xi>| <= |xi| = R, a trial whose radius is below the grid's first
+threshold c_0 meets no threshold.  ``simulate_pmax`` therefore draws every
+chunk's squared radii first and a Gaussian row only for the trials with
+R >= c_0, in trial order; the rest count as below the grid.  The direction is
+independent of the radius, so the estimate keeps its distribution, and in the
+tail, where most radii fall short of c_0, most trials cost one radius draw.
+``sample_tmax`` keeps every trial.
+
 Every entry point reads its trial count and seed by ``_check_draws``, through
 the package's integer rule ``radial_laws._as_integer``: ``1000.0`` and
 ``np.int64(1000)`` are the count 1000, and a bool, a string or ``None`` is
@@ -127,13 +135,16 @@ def _map_chunks(chunk_fn, trials):
                 future.cancel()
 
 
-def _chunk_tmax(config, law, seed, chunk_index, size):
-    """Field maxima max_i <u_i, xi> of the ``size`` draws of one chunk, all
-    from ``_chunk_generator(seed, chunk_index)``: the ``size`` squared radii
-    first, then the Gaussian rows."""
+def _chunk_tmax(config, law, seed, chunk_index, size, reach):
+    """Field maxima max_i <u_i, xi> of the draws of one chunk that can reach
+    ``reach``, all from ``_chunk_generator(seed, chunk_index)``: the ``size``
+    squared radii first, then one Gaussian row for each radius kept, in trial
+    order.  A draw is dropped only where R**2 < reach**2, so a reach of 0
+    keeps every draw, a NaN radius included."""
     generator = _chunk_generator(seed, chunk_index)
     r_sq = law.sample(generator, size)
-    z = generator.standard_normal((size, config.dim))
+    r_sq = r_sq[~(r_sq < reach * reach)]
+    z = generator.standard_normal((r_sq.size, config.dim))
     tmax = _column_max(config.points, z.T)
     r_sq /= np.einsum("ij,ij->i", z, z)
     tmax *= np.sqrt(r_sq, out=r_sq)
@@ -143,26 +154,31 @@ def _chunk_tmax(config, law, seed, chunk_index, size):
 def sample_tmax(config, law, trials, seed):
     """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
     trials, seed = _check_draws(trials, seed)
-    return np.concatenate(list(_map_chunks(
-        lambda j, size: _chunk_tmax(config, law, seed, j, size), trials)))
+    tmax = np.empty(trials)
+    chunks = _map_chunks(lambda j, size: _chunk_tmax(config, law, seed, j, size, 0.0), trials)
+    for start, chunk in zip(range(0, trials, CHUNK_TRIALS), chunks):
+        tmax[start:start + chunk.size] = chunk
+    return tmax
 
 
 def simulate_pmax(config, law, c_grid, trials, seed):
     """Estimate Pr(max_i <u_i, xi> >= c) on a sorted positive grid.
 
-    One pass serves every threshold: each trial's maximum is located in the
-    grid by binary search and exceedance counts accumulate per grid point.
-    Standard errors are the binomial sqrt(p(1-p)/trials).
+    One pass serves every threshold.  A trial whose radius is below the
+    grid's first threshold meets none, and only the radius is drawn for it;
+    each other trial's maximum is located in the grid by binary search, and
+    exceedance counts accumulate per grid point.  Standard errors are the
+    binomial sqrt(p(1-p)/trials) over all trials.
     """
     c_grid = _threshold_grid(c_grid)
     c_grid.setflags(write=False)
     trials, seed = _check_draws(trials, seed)
 
     def chunk_counts(chunk_index, size):
-        tmax = _chunk_tmax(config, law, seed, chunk_index, size)
+        tmax = _chunk_tmax(config, law, seed, chunk_index, size, c_grid[0])
         # index of the first grid value above tmax = number of thresholds met
-        reach = np.searchsorted(c_grid, tmax, side="right")
-        hist = np.bincount(reach, minlength=c_grid.size + 1)
+        met = np.searchsorted(c_grid, tmax, side="right")
+        hist = np.bincount(met, minlength=c_grid.size + 1)
         return hist[::-1].cumsum()[::-1][1:]
 
     counts = sum(_map_chunks(chunk_counts, trials))

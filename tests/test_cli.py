@@ -517,10 +517,10 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
 # host may differ (ROADMAP, known risks); such a difference is a finding, not
 # a reason to re-pin.
 PINNED_REPRODUCE = {
-    "t": "1669db3ad86aba8575c2a1014fb2261fd89fe6f65cc7b4cd9aad2f89ea7bfe36",
-    "lognormal": "37e6648ab11bf3e4b55537b06ebb10f38155585423ea5705fe7f1f873abbbd27",
-    "bessel": "a41e51729a9de540bf850e61e6de16635960722c35e24af1c503bce56540118b",
-    "gauss": "6476b2c0977160f3813abbe043e81e9c09eefec55258cfb868ae1edf89f18097",
+    "t": "71eb28c4715f0bf61af2c64578ce1743b4795972e703ece05798b23f75ca62b8",
+    "lognormal": "3154dd51021d5e79de78402b95f77e5f9fdf8c5484654da428d6a1e336c74b21",
+    "bessel": "76ae9aef99f9516c3ff7335c6a6092506036fb72fe9c75732374ca7770ce487e",
+    "gauss": "d89b842989e5f11e25d58941d55f90cf62361793b3db313a41e9ca458a5626e7",
 }
 
 
@@ -533,7 +533,7 @@ def test_reproduce_csvs_are_pinned(tmp_path, case):
 
 # sha256 of a three-chunk simulate CSV, the last chunk partial, at N = 50
 # points in n = 10 dimensions
-PINNED_SIMULATE = "95e3b4fb636ec83b99a06348ae73beb30feec0a7d9d7cfc9e37ffd2ab402f4b0"
+PINNED_SIMULATE = "cf328edfac3d2ccbdccd152fb509e696dd2c797e1bebadd38f3fe23bace2d193"
 
 
 def test_multi_chunk_simulate_csv_is_pinned(tmp_path):

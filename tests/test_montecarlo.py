@@ -88,16 +88,17 @@ class TestFrozenBits:
     # sha256 of the draws as computed when the chunks still ran one after
     # another: no worker count or scheduling may move a bit.  The digests
     # rest on the BLAS product as well as on the generator;
-    # test_raw_draws_are_pinned separates the two
+    # test_raw_draws_are_pinned separates the two.  The pmax digests draw a
+    # Gaussian row only for the radii that reach FROZEN_GRID[0]
     CASES = [
-        (2, 2, ChiSquare(2.0), "df30fdd9762fc928", "ab227c575916088d"),
-        (2, 2, FDist(3.0, 3.0), "94149f80d8234f4e", "da568a146f9b5285"),
-        (3, 3, ChiSquare(3.0), "e8442481242d7941", "3ec7a7ba5d0e3147"),
-        (3, 3, FDist(3.0, 3.0), "5a6451ff8cbfd744", "de2b4aee250b3164"),
-        (5, 10, ChiSquare(5.0), "7234de0bac1fcd98", "c6c836ed72efaa6e"),
-        (5, 10, FDist(3.0, 3.0), "6218e44ff1dc2357", "ea32c71c31af1314"),
+        (2, 2, ChiSquare(2.0), "df30fdd9762fc928", "4ff9fe033a61546d"),
+        (2, 2, FDist(3.0, 3.0), "94149f80d8234f4e", "3467345da0c67baa"),
+        (3, 3, ChiSquare(3.0), "e8442481242d7941", "5e87cee35ec24324"),
+        (3, 3, FDist(3.0, 3.0), "5a6451ff8cbfd744", "f9602a1ac091077d"),
+        (5, 10, ChiSquare(5.0), "7234de0bac1fcd98", "68379cdc5cf44793"),
+        (5, 10, FDist(3.0, 3.0), "6218e44ff1dc2357", "4a796764710bf532"),
         (10, 50, ChiSquare(10.0), "20115821b9d1cd9d", "94627cccde36c5a5"),
-        (10, 50, FDist(3.0, 3.0), "7b54b601befc97f3", "be753b4773420c76"),
+        (10, 50, FDist(3.0, 3.0), "7b54b601befc97f3", "87fd0335cff51ace"),
     ]
 
     @pytest.mark.parametrize(
@@ -118,6 +119,44 @@ class TestFrozenBits:
         r_sq = FDist(3.0, 3.0).sample(generator, CHUNK_TRIALS)
         z = generator.standard_normal((CHUNK_TRIALS, 10))
         assert _digest([r_sq, z]) == "9695819f0e6695ea"
+
+    def test_directions_are_drawn_only_where_the_radius_reaches_the_grid(self):
+        # one chunk rebuilt by hand: every squared radius, then one Gaussian
+        # row for each radius that reaches the first threshold, in trial order
+        config, law = _random_config(3, 3), FDist(3.0, 3.0)
+        grid = np.array([1.5, 2.0, 4.0])
+        generator = montecarlo._chunk_generator(7, 0)
+        r_sq = law.sample(generator, CHUNK_TRIALS)
+        r_sq = r_sq[r_sq >= grid[0] ** 2]
+        z = generator.standard_normal((r_sq.size, config.dim))
+        tmax = np.max(config.points @ z.T, axis=0) * np.sqrt(r_sq / np.einsum("ij,ij->i", z, z))
+        counts = np.sum(tmax[:, None] >= grid, axis=0)
+        assert 0 < r_sq.size < CHUNK_TRIALS / 2
+        sim = simulate_pmax(config, law, grid, CHUNK_TRIALS, seed=7)
+        assert np.array_equal(sim.estimates, counts / CHUNK_TRIALS)
+
+    def test_a_grid_above_every_radius_draws_no_direction(self, monkeypatch):
+        rows = []
+
+        class RecordingGenerator:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                return getattr(self._generator, name)
+
+            def standard_normal(self, size):
+                rows.append(size[0])
+                return self._generator.standard_normal(size)
+
+        chunk_generator = montecarlo._chunk_generator
+        monkeypatch.setattr(montecarlo, "_chunk_generator",
+                            lambda seed, j: RecordingGenerator(chunk_generator(seed, j)))
+        # a chi-square(3) radius exceeds 100 with probability about e**-5000
+        sim = simulate_pmax(_random_config(3, 3), ChiSquare(3.0), [100.0, 200.0],
+                            3 * CHUNK_TRIALS + 5, seed=7)
+        assert np.array_equal(sim.estimates, [0.0, 0.0])
+        assert rows == [0, 0, 0, 0]
 
     def test_worker_count_moves_no_bit(self, monkeypatch):
         config, law = _random_config(5, 10), FDist(3.0, 3.0)
@@ -238,6 +277,21 @@ class TestChunkWindow:
         assert (small, large) == (10**7, 10**9)
         assert large_peak <= small_peak + 64 * 1024
 
+    def test_sample_tmax_holds_one_copy_of_its_output(self, monkeypatch, benchmark_config):
+        # the chunks are written into one preallocated array, so the peak is
+        # the output and the chunks in flight (1.2x here); joining a list of
+        # the chunks held every trial twice (2.05x)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        trials = 2 * 10**6
+        tracemalloc.start()
+        try:
+            tmax = sample_tmax(benchmark_config, FDist(3.0, 3.0), trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tmax.shape == (trials,)
+        assert peak <= 1.5 * tmax.nbytes
+
     def test_first_failure_stops_submitting_chunks(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
         started = []
@@ -259,6 +313,13 @@ class TestAgainstAnalytic:
         sim = simulate_pmax(config, gauss_law, np.array([2.0]), 10**6, seed=17)
         oracle = 1.0 - ndtr(2.0)
         assert abs(sim.estimates[0] - oracle) <= 3.0 * sim.standard_errors[0]
+
+    def test_single_point_deep_tail(self, gauss_law):
+        # a chi-square(3) radius reaches c = 4 with probability 1.1e-3, so
+        # more than 99.9 % of the trials draw no direction
+        config = PointConfiguration.from_points([[1.0, 0.0, 0.0]])
+        sim = simulate_pmax(config, gauss_law, np.array([4.0]), 10**6, seed=17)
+        assert abs(sim.estimates[0] - ndtr(-4.0)) <= 3.0 * sim.standard_errors[0]
 
     def test_benchmark_t_grid(self, benchmark_config, t_law):
         grid = np.arange(1.0, 8.01, 1.0)
@@ -285,6 +346,17 @@ class TestAgainstAnalytic:
             sim = simulate_pmax(benchmark_config, t_law, np.array([c]), 4000, seed=seed)
             half = 1.96 * sim.standard_errors[0]
             hits += abs(sim.estimates[0] - exact) <= half
+        assert hits / 200 >= 0.90
+
+    def test_coverage_over_seeds_where_few_radii_reach_the_grid(self, benchmark_config, t_law):
+        # an F(3, 3) radius reaches c = 2.3 with probability 0.10: nine in ten
+        # trials draw no direction, and the intervals must cover as before
+        c = 2.3
+        exact = p_exact(benchmark_config, t_law, c)
+        hits = 0
+        for seed in range(200):
+            sim = simulate_pmax(benchmark_config, t_law, np.array([c]), 4000, seed=seed)
+            hits += abs(sim.estimates[0] - exact) <= 1.96 * sim.standard_errors[0]
         assert hits / 200 >= 0.90
 
 
