@@ -5,13 +5,16 @@ generator seeded by ``SeedSequence(seed, spawn_key=(j,))``, the j-th child
 that ``SeedSequence(seed).spawn`` gives, so a chunk's draws depend only on
 the seed and its index, and ``SeedSequence``'s hashing keeps the chunks'
 streams apart (SFC64 because it draws normals and gammas faster than
-Philox).  The chunks of one call run on a thread pool sized to the CPUs
-this process may use (the work is NumPy and BLAS code that releases the
-interpreter lock) and their results are combined in chunk order, so the
-output is bit-identical whatever the worker count, and identical inputs
-always reproduce identical output.  At most ``_CHUNKS_PER_WORKER`` chunks per
-worker are in flight: a new chunk is submitted as the oldest one's result is
-taken, so memory does not grow with the trial count.
+Philox).  The calling thread runs the chunks of one call together with one
+helper thread per further CPU this process may use (the work is NumPy and
+BLAS code that releases the interpreter lock); each thread takes the next
+chunk index from a shared counter until none is left.  A chunk's result goes
+where no other chunk's can reach it: its own slice of ``sample_tmax``'s
+output, or an integer count added into ``simulate_pmax``'s total.  Neither
+depends on which thread ran a chunk or in which order the chunks finished,
+so the output is bit-identical whatever the worker count, and identical
+inputs always reproduce identical output.  Each thread holds one chunk at a
+time, so memory does not grow with the trial count.
 
 A draw is xi = R * z / |z| with z standard Gaussian (Muller 1959), and
 max_i <u_i, z / |z|> = max_i <u_i, z> / |z|.  The maxima are therefore taken
@@ -31,12 +34,10 @@ the package's integer rule ``radial_laws._as_integer``: ``1000.0`` and
 refused.
 """
 
-import collections
-import hashlib
 import json
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,6 @@ from .radial_laws import _as_integer
 __all__ = ["SimulationResult", "simulate_pmax", "estimate_delta", "sample_tmax"]
 
 CHUNK_TRIALS = 1 << 14
-
-# chunks in flight (queued, running or done and not yet taken) per worker:
-# enough to keep every worker busy while the caller takes results, and a
-# bound on the queue, whose every entry holds about 2 KB
-_CHUNKS_PER_WORKER = 2
 
 
 def _check_draws(trials, seed):
@@ -78,14 +74,19 @@ def _chunk_generator(seed, chunk_index):
     return np.random.Generator(np.random.SFC64(sequence))
 
 
-def _law_digest(law):
-    payload = json.dumps(law.to_dict(), sort_keys=True).encode()
+def _digest(payload):
+    import hashlib  # loaded at the first digest, not with the package
+
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _law_digest(law):
+    return _digest(json.dumps(law.to_dict(), sort_keys=True).encode())
 
 
 def _config_digest(config):
     # the bytes of the points, as the configuration's own key holds them
-    return hashlib.sha256(config._key[1]).hexdigest()[:16]
+    return _digest(config._key[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,31 +109,49 @@ def _available_cpus():
         return os.cpu_count() or 1
 
 
-def _map_chunks(chunk_fn, trials):
-    """Yield ``chunk_fn(j, size_j)`` for each chunk j of ``trials`` draws, in
-    chunk order.
+def _run_chunks(chunk_fn, trials):
+    """Call ``chunk_fn(j, size_j)`` once for each chunk j of ``trials`` draws.
 
-    Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws.  The chunks run on a
-    thread pool that lives for this call only, with at most one worker per
-    available CPU.  At most ``_CHUNKS_PER_WORKER`` chunks per worker are
-    submitted and not yet yielded, so memory does not grow with ``trials``.
-    The first exception raised by a chunk propagates to the caller, and the
-    chunks not yet started are cancelled.
+    Chunk ``j`` holds up to ``CHUNK_TRIALS`` draws.  The calling thread and
+    ``min(_available_cpus(), chunks) - 1`` helper threads each take the next
+    chunk index from a counter until none is left, so a one-chunk call starts
+    no thread, and chunks may finish in any order.  The first exception that
+    a chunk raises stops every thread from taking another chunk; the helpers
+    are joined, also when the caller is interrupted, and then the exception
+    is raised to the caller.
     """
-    starts = range(0, trials, CHUNK_TRIALS)
-    workers = min(_available_cpus(), len(starts))
-    in_flight = collections.deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for j, start in enumerate(starts):
-                in_flight.append(pool.submit(chunk_fn, j, min(CHUNK_TRIALS, trials - start)))
-                if len(in_flight) == _CHUNKS_PER_WORKER * workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
-                yield in_flight.popleft().result()
-        finally:
-            for future in in_flight:
-                future.cancel()
+    chunks = -(-trials // CHUNK_TRIALS)
+    lock = threading.Lock()
+    next_chunk = 0
+    failures = []
+
+    def work():
+        nonlocal next_chunk
+        while True:
+            with lock:
+                if failures or next_chunk == chunks:
+                    return
+                j = next_chunk
+                next_chunk += 1
+            try:
+                chunk_fn(j, min(CHUNK_TRIALS, trials - j * CHUNK_TRIALS))
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_available_cpus(), chunks) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:
+            next_chunk = chunks
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
 
 
 def _chunk_tmax(config, law, seed, chunk_index, size, reach):
@@ -152,12 +171,20 @@ def _chunk_tmax(config, law, seed, chunk_index, size, reach):
 
 
 def sample_tmax(config, law, trials, seed):
-    """Draw ``trials`` samples of the field maximum max_i <u_i, xi>."""
+    """Draw ``trials`` samples of the field maximum max_i <u_i, xi>.
+
+    Whichever thread runs chunk j writes it into its own slice of one
+    preallocated output, so no bit depends on the thread or the order of
+    the chunks, and the peak memory is the output and one chunk per thread.
+    """
     trials, seed = _check_draws(trials, seed)
     tmax = np.empty(trials)
-    chunks = _map_chunks(lambda j, size: _chunk_tmax(config, law, seed, j, size, 0.0), trials)
-    for start, chunk in zip(range(0, trials, CHUNK_TRIALS), chunks):
-        tmax[start:start + chunk.size] = chunk
+
+    def chunk_tmax(chunk_index, size):
+        start = chunk_index * CHUNK_TRIALS
+        tmax[start:start + size] = _chunk_tmax(config, law, seed, chunk_index, size, 0.0)
+
+    _run_chunks(chunk_tmax, trials)
     return tmax
 
 
@@ -169,19 +196,31 @@ def simulate_pmax(config, law, c_grid, trials, seed):
     each other trial's maximum is located in the grid by binary search, and
     exceedance counts accumulate per grid point.  Standard errors are the
     binomial sqrt(p(1-p)/trials) over all trials.
+
+    Each chunk adds its integer histogram of thresholds met into one total,
+    whichever thread runs it and in whatever order the chunks finish; integer
+    sums are exact, so no bit depends on either.  The per-point counts are
+    taken from the total once, at the end.
     """
     c_grid = _threshold_grid(c_grid)
     c_grid.setflags(write=False)
     trials, seed = _check_draws(trials, seed)
+
+    # total[k] = trials that met exactly k thresholds
+    total = np.zeros(c_grid.size + 1, dtype=np.intp)
+    lock = threading.Lock()
 
     def chunk_counts(chunk_index, size):
         tmax = _chunk_tmax(config, law, seed, chunk_index, size, c_grid[0])
         # index of the first grid value above tmax = number of thresholds met
         met = np.searchsorted(c_grid, tmax, side="right")
         hist = np.bincount(met, minlength=c_grid.size + 1)
-        return hist[::-1].cumsum()[::-1][1:]
+        with lock:
+            np.add(total, hist, out=total)
 
-    counts = sum(_map_chunks(chunk_counts, trials))
+    _run_chunks(chunk_counts, trials)
+    # trials that met at least k + 1 thresholds, i.e. reached c_grid[k]
+    counts = total[::-1].cumsum()[::-1][1:]
     estimates = counts / trials
     std_errors = np.sqrt(estimates * (1.0 - estimates) / trials)
     estimates.setflags(write=False)

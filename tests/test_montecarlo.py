@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -262,9 +264,17 @@ class TestAvailableCpus:
 class TestChunkWindow:
     @staticmethod
     def _peak_traced_bytes(trials):
+        total = 0
+        lock = threading.Lock()
+
+        def chunk_fn(j, size):
+            nonlocal total
+            with lock:
+                total += size
+
         tracemalloc.start()
         try:
-            total = sum(montecarlo._map_chunks(lambda j, size: size, trials))
+            montecarlo._run_chunks(chunk_fn, trials)
             return total, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,19 +302,113 @@ class TestChunkWindow:
         assert tmax.shape == (trials,)
         assert peak <= 1.5 * tmax.nbytes
 
-    def test_first_failure_stops_submitting_chunks(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_failure_stops_taking_chunks(self, monkeypatch, workers):
+        # a helper's chunk raises once the calling thread holds a chunk; that
+        # chunk waits until every helper has ended, each after its failure
+        # or on seeing one, and then no thread may take a further chunk
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+        caller, before = threading.current_thread(), set(threading.enumerate())
+        caller_holds_a_chunk = threading.Event()
         started = []
 
         def chunk_fn(j, size):
-            started.append(j)
-            if j == 0:
-                raise RuntimeError("first chunk failed")
-            return size
+            started.append(threading.current_thread())
+            if threading.current_thread() is not caller:
+                caller_holds_a_chunk.wait(timeout=30)
+                raise RuntimeError("helper chunk failed")
+            caller_holds_a_chunk.set()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
 
-        with pytest.raises(RuntimeError, match="first chunk"):
-            sum(montecarlo._map_chunks(chunk_fn, 10**9))
-        assert len(started) <= 2 * montecarlo._CHUNKS_PER_WORKER
+        with pytest.raises(RuntimeError, match="helper chunk"):
+            montecarlo._run_chunks(chunk_fn, 10**9)
+        assert started.count(caller) == 1
+        assert 2 <= len(started) == len(set(started)) <= workers
+
+    def test_an_interrupt_leaves_no_thread_running(self, monkeypatch):
+        # the calling thread is interrupted while a helper is inside a chunk:
+        # the helper finishes that chunk, takes no other, and has ended by the
+        # time the interrupt reaches the caller
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        caller, before = threading.current_thread(), set(threading.enumerate())
+        helper_in_chunk = threading.Event()
+        finished = []
+
+        def chunk_fn(j, size):
+            if threading.current_thread() is caller:
+                assert helper_in_chunk.wait(timeout=30)
+                raise KeyboardInterrupt
+            helper_in_chunk.set()
+            time.sleep(0.1)
+            finished.append(j)
+
+        with pytest.raises(KeyboardInterrupt):
+            montecarlo._run_chunks(chunk_fn, 10 * CHUNK_TRIALS)
+        assert len(finished) == 1
+        assert set(threading.enumerate()) <= before
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch, benchmark_config):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 16)
+        seen = []
+        chunk_tmax = montecarlo._chunk_tmax
+
+        def recording(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return chunk_tmax(*args)
+
+        monkeypatch.setattr(montecarlo, "_chunk_tmax", recording)
+        before = threading.active_count()
+        sample_tmax(benchmark_config, FDist(3.0, 3.0), CHUNK_TRIALS, seed=1)
+        simulate_pmax(benchmark_config, FDist(3.0, 3.0), FROZEN_GRID, 10**4, seed=1)
+        assert seen == [(threading.current_thread(), before)] * 2
+
+    def test_concurrent_counts_lose_no_update(self, monkeypatch, benchmark_config):
+        # 16 threads add 64 chunks' histograms into one total, with a thread
+        # switch forced about every microsecond: a lost update would show as
+        # a count below the one-thread count
+        law, trials = FDist(3.0, 3.0), 64 * CHUNK_TRIALS
+        grid = np.linspace(0.05, 8.0, 600)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        expected = simulate_pmax(benchmark_config, law, grid, trials, seed=4).estimates
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                sim = simulate_pmax(benchmark_config, law, grid, trials, seed=4)
+                assert np.array_equal(sim.estimates, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunks_finishing_out_of_order_move_no_bit(self, monkeypatch):
+        # the even chunks are held back, so the odd ones finish first
+        config, law = _random_config(5, 10), FDist(3.0, 3.0)
+        trials = 5 * CHUNK_TRIALS + 3
+        chunk_tmax = montecarlo._chunk_tmax
+        finished = []
+
+        def delayed(config, law, seed, chunk_index, size, reach):
+            if chunk_index % 2 == 0:
+                time.sleep(0.05)
+            tmax = chunk_tmax(config, law, seed, chunk_index, size, reach)
+            finished.append(chunk_index)
+            return tmax
+
+        monkeypatch.setattr(montecarlo, "_chunk_tmax", delayed)
+        expected = None
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: workers)
+            finished.clear()
+            tmax = sample_tmax(config, law, trials, seed=2)
+            sim = simulate_pmax(config, law, FROZEN_GRID, trials, seed=2)
+            if expected is None:
+                expected = (tmax, sim.estimates)
+            else:
+                assert finished != sorted(finished)
+            assert np.array_equal(tmax, expected[0])
+            assert np.array_equal(sim.estimates, expected[1])
 
 
 class TestAgainstAnalytic:

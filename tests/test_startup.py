@@ -1,4 +1,5 @@
-"""Start-up: importing the package loads numpy and no scipy module.
+"""Start-up: importing the package loads numpy and no scipy module, and none
+of ``concurrent.futures``, ``logging`` or ``hashlib``.
 
 Each scipy submodule loads where it is first needed: ``scipy.special`` at the
 first special function (a radial tail, a beta mixture, the Gaussian quantiles
@@ -47,6 +48,18 @@ def test_import_loads_no_scipy_module(tmp_path):
     out = run_fresh(
         "import sys, spheretail, spheretail.cli\n"
         f"print({SCIPY_LOADED})\n",
+        tmp_path,
+    )
+    assert out == "[]\n"
+
+
+def test_import_loads_no_executor_logging_or_hashlib(tmp_path):
+    # the Monte Carlo chunks run on plain threads, with no concurrent.futures
+    # executor (which would load logging), and hashlib loads at the first
+    # digest a simulation takes
+    out = run_fresh(
+        "import sys, spheretail, spheretail.cli\n"
+        "print(sorted({'concurrent.futures', 'logging', 'hashlib'} & set(sys.modules)))\n",
         tmp_path,
     )
     assert out == "[]\n"
