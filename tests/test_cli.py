@@ -493,12 +493,12 @@ PINNED_SOLVES = {
     ("lognormal", "0.001", "tube"): "4.9151888575688245",
     ("lognormal", "0.001", "exact"): "4.8667645256882315",
     ("bessel", "0.1", "tube"): "1.8835332900642607",
-    ("bessel", "0.1", "exact"): "1.7856550090321408",
+    ("bessel", "0.1", "exact"): "1.7856550090321404",
     ("bessel", "0.001", "tube"): "4.5098817769695163",
     ("bessel", "0.001", "exact"): "4.4938834740383449",
-    ("gauss", "0.1", "tube"): "1.8339146358159168",
-    ("gauss", "0.1", "exact"): "1.7887562593415787",
-    ("gauss", "0.001", "tube"): "3.4029328353853376",
+    ("gauss", "0.1", "tube"): "1.8339146358159164",
+    ("gauss", "0.1", "exact"): "1.7887562593415784",
+    ("gauss", "0.001", "tube"): "3.4029328353853372",
     ("gauss", "0.001", "exact"): "3.401521433180644",
 }
 
@@ -519,8 +519,8 @@ def test_threshold_solves_are_pinned(tmp_path, capsys, case, target, method):
 PINNED_REPRODUCE = {
     "t": "71eb28c4715f0bf61af2c64578ce1743b4795972e703ece05798b23f75ca62b8",
     "lognormal": "3154dd51021d5e79de78402b95f77e5f9fdf8c5484654da428d6a1e336c74b21",
-    "bessel": "76ae9aef99f9516c3ff7335c6a6092506036fb72fe9c75732374ca7770ce487e",
-    "gauss": "d89b842989e5f11e25d58941d55f90cf62361793b3db313a41e9ca458a5626e7",
+    "bessel": "e73c8c58dd6e66e96515f9e65d1f93933df46428f54140a8d85431198891a716",
+    "gauss": "b47dc8ad7b527e33c7719ff429547c7236808aac0144f7669818b7f3899be869",
 }
 
 

@@ -1228,11 +1228,11 @@ class TestThresholdSolving:
     def test_underflow_at_bracket_end_names_target_and_threshold(
         self, benchmark_config, gauss_law
     ):
-        # the computed tail, and with it P, drops to 0 near c = 37.9414 before P
-        # reaches 1e-320, and the first point, where the tail bound meets the
-        # target, already lies there
+        # the computed P drops to 0 near c = 38.488 before it reaches 1e-320
+        # (the chi-square tail itself is a subnormal there, 6e-321), and the
+        # first point, where the tail bound meets the target, already lies there
         with pytest.raises(
-            FloatingPointError, match=r"c=37\.94\d* while solving for target 1e-320"
+            FloatingPointError, match=r"c=38\.48\d* while solving for target 1e-320"
         ):
             solve_threshold(benchmark_config, gauss_law, 1e-320, method="tube")
 

@@ -146,11 +146,14 @@ class TestExactTails:
         assert np.allclose(law.tail(xs), [law.tail(float(x)) for x in xs], rtol=1e-14)
 
 
-# every family, and Bessel in its closed form (3, 4), its window rule (3, 5)
-# and where that rule's window is widest (0.2, 1.5)
+# every family and every tail rule: chi-square and chi by their finite sums
+# for odd and even nu (3, 10; 3, 2) and by gammaincc (2.5), Bessel by its
+# elementary sum (3, 4) and (5, 2), its Bessel-K sum (2.5, 4), its window
+# rule (3, 5) and where that rule's window is widest (0.2, 1.5)
 SCALAR_LAWS = [
-    ChiSquare(3.0), Chi(2.0), FDist(2.0, 5.0), LogNormal(),
-    Bessel(3.0, 4.0), Bessel(3.0, 5.0), Bessel(0.2, 1.5),
+    ChiSquare(3.0), ChiSquare(10.0), ChiSquare(2.5), Chi(2.0), Chi(3.0), FDist(2.0, 5.0),
+    LogNormal(), Bessel(3.0, 4.0), Bessel(5.0, 2.0), Bessel(2.5, 4.0), Bessel(3.0, 5.0),
+    Bessel(0.2, 1.5),
 ]
 SCALAR_ARGUMENTS = [0.0, 5e-324] + [10.0**e for e in range(-300, 301, 25)]
 
@@ -170,6 +173,16 @@ class TestScalarTail:
                 value = law.tail(arg)
                 assert type(value) is float
                 assert np.float64(value).tobytes() == element.tobytes(), (x, type(arg))
+
+    @pytest.mark.parametrize("law", [ChiSquare(64.0), Bessel(159.0, 160.0)], ids=repr)
+    def test_many_group_sum_keeps_its_order(self, law):
+        # the elementary sums add their groups of four terms in order; summed
+        # by a reduction, which goes pairwise over a one-argument block from
+        # eight groups on, a scalar lost its element's bits at 312 of these
+        # arguments under chi-square(64)
+        xs = np.concatenate([np.logspace(-300.0, 8.0, 400), np.linspace(0.5, 3000.0, 2000)])
+        array = law.tail(xs)
+        assert np.array_equal(array, [law.tail(float(x)) for x in xs])
 
     @pytest.mark.parametrize("law", SCALAR_LAWS, ids=repr)
     def test_scalar_domain_message(self, law):
@@ -269,6 +282,51 @@ class TestIncompleteGammaBetaTails:
         vals = ChiSquare(4.6).tail(np.linspace(0.0, 60.0, 40))
         assert np.all(np.diff(vals) <= 0.0)
 
+    @pytest.mark.parametrize("law", [ChiSquare(1.0), ChiSquare(3.0), ChiSquare(64.0), Chi(3.0)],
+                             ids=repr)
+    def test_finite_sum_monotone(self, law):
+        # strictly decreasing below 1 - 1e-12; within 1e-12 of 1 the sum of
+        # terms near 1 may move by a few ulps either way (gammaincc gives 1)
+        xs = np.logspace(-12.0, 6.0, 4000)
+        vals = law.tail(np.sqrt(xs) if isinstance(law, Chi) else xs)
+        keep = (vals >= 1e-290) & (vals <= 1.0 - 1e-12)
+        assert keep.sum() > 400
+        assert np.all(np.diff(vals[keep]) < 0.0)
+        assert np.all(np.diff(vals) <= 1e-14)
+
+    @pytest.mark.parametrize(
+        "law",
+        [ChiSquare(1.0), ChiSquare(2.0), ChiSquare(3.0), ChiSquare(10.0), ChiSquare(64.0),
+         ChiSquare(65.0), ChiSquare(2.5), Chi(1.0), Chi(4.0), Chi(63.0), Chi(65.0)],
+        ids=repr,
+    )
+    def test_tail_against_mpmath(self, law):
+        # Q(nu/2, u), u = x/2 or x^2/2 from the double x, on every fourth
+        # decade of [1e-300, 1e8] and in the deep tail, 1e-290 <= tail <= 1e-200.
+        # The finite sums for integer nu <= 64 hold 1e-13, and 1e-14 in the deep
+        # tail; beyond the cap and at nu = 2.5, gammaincc is off by up to 1.1e-13.
+        import mpmath
+
+        chi = isinstance(law, Chi)
+        deep = np.linspace(900.0, 1400.0, 11)
+        xs = np.concatenate([np.logspace(-300.0, 8.0, 78), np.sqrt(deep) if chi else deep])
+        with mpmath.workdps(30):
+            expected = np.array([
+                float(mpmath.gammainc(
+                    mpmath.mpf(law.nu) / 2, a=(mpmath.mpf(x) ** 2 if chi else mpmath.mpf(x)) / 2,
+                    regularized=True,
+                ))
+                for x in xs
+            ])
+        got = law.tail(xs)
+        keep = expected >= 1e-290
+        assert keep.sum() > 30 and keep[-deep.size:].sum() > 5
+        rel_err = np.abs(got[keep] / expected[keep] - 1.0)
+        elementary = law.nu <= 64.0 and law.nu.is_integer()
+        assert rel_err.max() <= (1e-13 if elementary else 2e-13)
+        if elementary:
+            assert rel_err[-keep[-deep.size:].sum():].max() <= 1e-14
+
     def test_chi_square_domain_is_checked_where_inputs_enter(self):
         with pytest.raises(ValueError):
             ChiSquare(-2.0)
@@ -301,13 +359,15 @@ class TestBesselTail:
     @pytest.mark.parametrize(
         "nu",
         [(3.0, 4.0), (2.0, 2.0), (5.5, 2.0), (1.5, 6.0), (20.0, 20.0), (0.5, 20.0), (0.2, 2.0),
-         (0.5, 2.0), (2.0, 0.5), (4.0, 6.0), (80.0, 2.0), (160.0, 2.0)],
+         (0.5, 2.0), (2.0, 0.5), (4.0, 6.0), (80.0, 2.0), (160.0, 2.0), (1.0, 2.0), (5.0, 2.0),
+         (3.0, 8.0), (7.0, 6.0), (159.0, 160.0)],
     )
     def test_even_nu_tail_against_mpmath(self, nu):
         # every decade of [1e-300, 1e8] ((0.2, 2) and (0.5, 2) were off by up
         # to 6e-5 below 1e-24 under the window rule), and the deep tail below
         # 1e-200, where y = sqrt(x) exceeds 460 and its rounding alone would
-        # move the tail by 5e-14 if it were not put back
+        # move the tail by 5e-14 if it were not put back; one odd and one even
+        # degree of freedom take the elementary sum, (159, 160) with 159 powers
         deep = np.linspace(2e5, 6e5, 41)
         xs = np.concatenate([np.logspace(-300.0, 8.0, 309), deep])
         got = Bessel(*nu).tail(xs)
@@ -332,14 +392,40 @@ class TestBesselTail:
         assert np.all(got[2:] == 0.0)
 
     def test_rule_follows_the_degrees_of_freedom(self):
-        # the Bessel-K sum for an even degree of freedom while both are at
-        # most 160, the window rule otherwise
+        # Bessel: while both degrees of freedom are at most 160, the elementary
+        # sum for one odd and one even, the Bessel-K sum for an even one and
+        # any other, and the window rule otherwise
         xs = np.logspace(-10.0, 5.0, 50)
-        for nu, closed in [((3.0, 4.0), True), ((160.0, 2.0), True), ((162.0, 2.0), False),
-                           ((3.0, 5.0), False)]:
+        for nu, rule in [
+            ((3.0, 4.0), "_elementary_tail"), ((4.0, 3.0), "_elementary_tail"),
+            ((1.0, 2.0), "_elementary_tail"), ((159.0, 160.0), "_elementary_tail"),
+            ((2.0, 2.0), "_closed_form_tail"), ((2.5, 4.0), "_closed_form_tail"),
+            ((160.0, 2.0), "_closed_form_tail"), ((161.0, 2.0), "_window_tail"),
+            ((162.0, 2.0), "_window_tail"), ((3.0, 5.0), "_window_tail"),
+            ((3.0, 4.5), "_window_tail"),
+        ]:
             law = Bessel(*nu)
-            rule = law._closed_form_tail if closed else law._window_tail
-            assert np.array_equal(law.tail(xs), np.minimum(rule(xs), 1.0)), nu
+            assert np.array_equal(law.tail(xs), np.minimum(getattr(law, rule)(xs), 1.0)), nu
+        # chi-square and chi: the finite sum for an integer nu up to 64,
+        # scipy's gammaincc otherwise
+        for nu in (1.0, 2.0, 3.0, 10.0, 64.0, 65.0, 66.0, 2.5, 0.5, 200.0):
+            elementary = nu <= 64.0 and nu.is_integer()
+            for law, u in ((ChiSquare(nu), xs / 2.0), (Chi(nu), xs * xs / 2.0)):
+                rule = law._elementary_tail(xs) if elementary else gammaincc(nu / 2.0, u)
+                assert np.array_equal(law.tail(xs), np.minimum(rule, 1.0)), law
+
+    @pytest.mark.parametrize("nu, coefficients", [
+        ((3.0, 4.0), [1.0, 1.0, 0.5]),  # Pr(Gamma(3) > sqrt x), by the duplication formula
+        ((1.0, 2.0), [1.0]),            # E exp(-x / (2 Z^2)) = exp(-sqrt x)
+        ((5.0, 2.0), [1.0, 1.0, 1.0 / 3.0]),
+    ])
+    def test_elementary_polynomial(self, nu, coefficients):
+        # Pr(R > x) = exp(-y) P(y), y = sqrt(x), with P(0) = 1
+        law = Bessel(*nu)
+        xs = np.array([0.25, 4.0, 100.0, 1e4])
+        y = np.sqrt(xs)
+        expected = np.exp(-y) * np.polynomial.polynomial.polyval(y, coefficients)
+        np.testing.assert_allclose(law.tail(xs), expected, rtol=1e-14)
 
     def test_dual_route_against_adaptive_convolution(self):
         # same convolution evaluated by adaptive QUADPACK, split at the
@@ -388,7 +474,7 @@ class TestBesselTail:
         # 1e-12 of 1 the true decrements are below the rounding of the
         # quadrature sum, which may move the value by a few 1e-15 either way.
         xs = np.logspace(-12.0, 6.0, 4000)
-        for nu in [(3.0, 4.0), (20.0, 20.0), (0.5, 0.5), (10.0, 3.0), (1.5, 6.0)]:
+        for nu in [(3.0, 4.0), (20.0, 20.0), (0.5, 0.5), (10.0, 3.0), (1.5, 6.0), (5.0, 2.0)]:
             vals = Bessel(*nu).tail(xs)
             keep = (vals >= 1e-290) & (vals <= 1.0 - 1e-12)
             assert keep.sum() > 1000
