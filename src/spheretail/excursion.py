@@ -592,10 +592,13 @@ def solve_threshold(config, law, target, method="tube"):
     log P, kept inside the bracket, once it moves c by at most
     tol = 1e-10 c, or once the curvature through the last three puts it
     within tol / 100 of the root.  The search covers
-    all of c > 0: P at its lower end is the limit P(0+) and is evaluated
-    only for a target outside (0, 1/2); P at c = 2^200 is evaluated only
-    when the tail bound cannot place the root below it.  Raises
-    ``FloatingPointError`` when P underflows to 0 at a point of the search.
+    c from ulp(0) to 2^200 (``_C_LO``, ``_C_HI``): P at its lower end is the
+    limit P(0+) and is evaluated only for a target outside (0, 1/2); P at
+    c = 2^200 is evaluated only when the tail bound cannot place the root
+    below it, and a target below it is refused as "failed to bracket the
+    threshold" (P(2^200) is 1.3e-181 for F(3, 3) at three points of
+    correlation 1/4).  Raises ``FloatingPointError`` when P underflows to 0
+    at a point of the search.
     """
     target = _as_real("target", target)
     if method == "tube":

@@ -512,7 +512,8 @@ def _exp_minus_half_sqrt(x, y):
     The rounding of y, recovered exactly as y^2 - x, enters as a first-order
     factor: left in, it moves exp(-y) by up to y ulp(1)/2 relative, 7e-14
     where a tail nears 1e-290.  Below x = 1 the factor is within rounding
-    of 1.
+    of 1.  Beyond x = 1e300 it may be NaN (at x = inf it is), where the
+    callers' tails are 0.
     """
     return np.exp(-0.5 * y) * (1.0 + _square_excess(y, x) / (4.0 * y))
 
@@ -545,20 +546,21 @@ class Bessel(RadialLaw):
         Pr(R > x) = (2 / Gamma(a)) sum_{k<b} z^((a+k)/2) K_{a-k}(2 sqrt z) / k!,
 
     the chi-square(2a) average of the chi-square(2b) tail, which is a Poisson
-    sum.  Term ``k`` is ``z^min(k, a) Gamma(o) / (Gamma(a) k!) h_o(z)`` with
-    ``o = |a - k|`` and ``h_o(z) = 2 z^(o/2) K_o(2 sqrt z) / Gamma(o)`` in
-    (0, 1].  For ``z <= 1`` the terms are taken as products, since a sum of
-    logarithms loses about ``|log z|`` ulps where the tail is near 1; where
-    ``K_o`` overflows, ``h_o`` takes its small-``z`` expansion.  For ``z > 1``
-    they are products of the exponentially scaled ``kve`` and
-    ``(z^((a+k)/4) exp(-sqrt x / 2))^2``, with ``exp`` corrected for the
-    rounding of ``sqrt x``, so that neither logarithms nor that rounding
-    cost ``|log tail|`` ulps in the deep tail.  Against 30-digit mpmath the
-    sum is within 1e-13 relative wherever the tail is at least 1e-290, for
-    ``x`` in [1e-300, 1e8] and the laws the tests sweep (degrees of freedom
-    from 0.2 to 20, ``(80, 2)`` and ``(160, 2)``); it rests on scipy's
-    ``K``, itself off by up to about 2e-13 at some orders below 1 and
-    arguments just under 2.
+    sum.  With ``o = |a - k|`` and ``y = 2 sqrt z = sqrt x``, term ``k`` is
+    taken at every ``x`` as one product, ``2 kve_o(y) root^2 / (Gamma(a) k!)``
+    with the exponentially scaled ``K`` and ``root = z^((a+k)/4) exp(-y/2)``,
+    ``exp`` corrected for the rounding of ``sqrt x``: no logarithm costs
+    ``|log z|`` ulps where the tail is near 1, and neither logarithms nor
+    that rounding cost ``|log tail|`` ulps in the deep tail.  Where ``K_o``
+    overflows (``z`` below about 1.6e-5 at order 80, below 1e-300 for
+    orders up to 2) the term takes its small-``z`` expansion
+    ``z^min(k, a) Gamma(o) / (Gamma(a) k!) (1 - z / (o - 1))``, without the
+    bracket for ``o <= 2``.  Against 30-digit mpmath the sum is within 1e-13
+    relative wherever the tail is at least 1e-290, for ``x`` in
+    [1e-300, 1e8] and the laws the tests sweep (degrees of freedom from 0.2
+    to 20, ``(80, 2)`` and ``(160, 2)``); it rests on scipy's ``kve``, off
+    like ``kv`` by up to about 2e-13 at some orders below 1 and arguments
+    just under 2, and by up to about 8e-14 at order 80.
 
     Otherwise, with ``(a, b) = (nu1, nu2)``, swapped when
     ``nu2 > nu1 + 2`` so that ``k = (a - b)/2 + 1 >= 0``, the exact tail is the
@@ -607,42 +609,34 @@ class Bessel(RadialLaw):
 
     def _closed_form_tail(self, x):
         """Finite Bessel-K sum for x > 0 when a degree of freedom is even."""
-        nu_a, nu_b = self.nu1, self.nu2
-        if nu_b % 2.0 != 0.0 or (nu_a % 2.0 == 0.0 and nu_a < nu_b):
-            nu_a, nu_b = nu_b, nu_a
+        # nu_b is the even degree of freedom, the smaller one if both are
+        nu_b, nu_a = sorted((self.nu1, self.nu2), key=lambda nu: (nu % 2.0 != 0.0, nu))
         a = nu_a / 2.0
         z = x / 4.0
-        near = z <= 1.0
-        z_near, z_far = z[near], z[~near]
-        out = np.empty_like(z)
+        y = 2.0 * np.sqrt(z)  # sqrt(x) to the bit unless x / 4 is subnormal
         special = _special()
-        facts = [special.gamma(a) * math.factorial(k) for k in range(round(nu_b / 2.0))]
+        out = np.zeros_like(z)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            if z_near.size:
-                # 2 sqrt(z) is 0 where x / 4 underflows, so that h below reads 1 there
-                y_near = 2.0 * np.sqrt(z_near)
-                near_sum = np.zeros_like(z_near)
-                for k, fact in enumerate(facts):
-                    o, m = abs(a - k), min(k, a)
-                    h = 2.0 * z_near ** (o / 2.0) * special.kv(o, y_near) / special.gamma(o)
-                    # K_o overflows only at z = 0 and where z^(o/2) < Gamma(o) / 3.6e308,
-                    # for o <= 2 below z = 1e-300, where h is 1 to rounding
-                    h = np.where(np.isfinite(h), h, 1.0 - z_near / (o - 1.0) if o > 2.0 else 1.0)
-                    near_sum += z_near**m * (special.gamma(o) / fact) * h
-                out[near] = near_sum
-            if z_far.size:
-                y_far = 2.0 * np.sqrt(z_far)  # sqrt(x) to the bit, as x / 4 is exact
-                half = _exp_minus_half_sqrt(x[~near], y_far)
-                far_sum = np.zeros_like(z_far)
-                for k, fact in enumerate(facts):
-                    # z^((a+k)/2) exp(-y) as a square keeps every factor finite up to
-                    # y = 1e4 for orders up to 80; beyond it the tail is 0
-                    root = z_far ** (0.25 * (a + k)) * half
-                    far_sum += 2.0 * special.kve(abs(a - k), y_far) * root * root / fact
-                # NaN where kve is (y beyond about 1e15, y = inf) and where the power
-                # of z overflows as exp(-y/2) underflows: the tail is 0 there
-                out[~near] = np.where(np.isnan(far_sum), 0.0, far_sum)
-        return out
+            half = _exp_minus_half_sqrt(x, y)
+            for k in range(round(nu_b / 2.0)):
+                o, fact = abs(a - k), special.gamma(a) * math.factorial(k)
+                k_o = special.kve(o, y)
+                # z^((a+k)/2) exp(-y) as a square keeps every factor finite up to
+                # y = 1e4 for orders up to 80; beyond it the tail is 0
+                root = z ** (0.25 * (a + k)) * half
+                term = 2.0 * k_o * root * root / fact
+                # K_o overflows only at z = 0 (y = 0 where x / 4 underflows) and
+                # where z^(o/2) < Gamma(o) / 3.6e308, for o <= 2 below z = 1e-300;
+                # there z^(o/2) K_o(y) is Gamma(o) / 2 to rounding, times
+                # 1 - z / (o - 1) for o > 2
+                small = np.isinf(k_o)
+                zs = z[small]
+                bracket = 1.0 - zs / (o - 1.0) if o > 2.0 else 1.0
+                term[small] = zs ** min(k, a) * (special.gamma(o) / fact) * bracket
+                out += term
+            # NaN where kve is (y beyond about 1e15, y = inf) and where a power of
+            # z overflows as exp(-y/2) underflows; every term is 0 or NaN there
+            return np.where(np.isnan(out), 0.0, out)
 
     def _window_tail(self, x):
         """Gauss-Legendre convolution on a per-argument window, for x > 0."""

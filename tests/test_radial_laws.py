@@ -19,7 +19,7 @@ from spheretail import (
     law_from_dict,
 )
 from spheretail.montecarlo import _law_digest
-from spheretail.radial_laws import _as_integer
+from spheretail.radial_laws import _as_integer, _exp_minus_half_sqrt
 
 # Frozen 40-digit quadrature values for the product-of-chi-squares tail.
 BESSEL_TAIL_ORACLE = {
@@ -148,12 +148,14 @@ class TestExactTails:
 
 # every family and every tail rule: chi-square and chi by their finite sums
 # for odd and even nu (3, 10; 3, 2) and by gammaincc (2.5), Bessel by its
-# elementary sum (3, 4) and (5, 2), its Bessel-K sum (2.5, 4), its window
-# rule (3, 5) and where that rule's window is widest (0.2, 1.5)
+# elementary sum (3, 4) and (5, 2), its Bessel-K sum at a fractional order
+# (2.5, 4), at integer orders (2, 2) and at orders up to 80 (160, 2), whose
+# small-z expansion takes over where K overflows, below z = x/4 = 1.6e-5,
+# its window rule (3, 5) and where that rule's window is widest (0.2, 1.5)
 SCALAR_LAWS = [
     ChiSquare(3.0), ChiSquare(10.0), ChiSquare(2.5), Chi(2.0), Chi(3.0), FDist(2.0, 5.0),
-    LogNormal(), Bessel(3.0, 4.0), Bessel(5.0, 2.0), Bessel(2.5, 4.0), Bessel(3.0, 5.0),
-    Bessel(0.2, 1.5),
+    LogNormal(), Bessel(3.0, 4.0), Bessel(5.0, 2.0), Bessel(2.5, 4.0), Bessel(2.0, 2.0),
+    Bessel(160.0, 2.0), Bessel(3.0, 5.0), Bessel(0.2, 1.5),
 ]
 SCALAR_ARGUMENTS = [0.0, 5e-324] + [10.0**e for e in range(-300, 301, 25)]
 
@@ -379,6 +381,37 @@ class TestBesselTail:
         assert rel_err.max() <= 1e-13
         deep_kept = keep[-deep.size:].sum()
         assert deep_kept > 0 and rel_err[-deep_kept:].max() <= 1e-14
+
+    @pytest.mark.parametrize("nu", [(2.0, 2.0), (20.0, 20.0), (160.0, 2.0), (2.5, 4.0)])
+    def test_k_sum_across_the_old_seam(self, nu):
+        # the Bessel-K sum once took z = x/4 <= 1 and z > 1 by two forms; a
+        # dense sweep over where they met, with x = 4 and its neighbours
+        grid = np.linspace(1.0, 16.0, 241)
+        xs = np.unique(np.concatenate([grid, [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 8.0)]]))
+        got = Bessel(*nu).tail(xs)
+        expected = np.array([float(bessel_tail_mpmath(*nu, x)) for x in xs])
+        assert np.max(np.abs(got / expected - 1.0)) <= 1e-13
+        # strictly decreasing on the grid below 1 - 1e-12, as in test_monotone;
+        # a step of one ulp in x moves the tail by less than its rounding
+        vals = Bessel(*nu).tail(grid)
+        keep = (vals >= 1e-290) & (vals <= 1.0 - 1e-12)
+        assert keep.sum() > 150
+        assert np.all(np.diff(vals[keep]) < 0.0)
+
+    def test_exp_minus_half_sqrt_puts_back_the_rounding(self):
+        # exp(-sqrt(x) / 2) from the rounded sqrt, subnormal x included, for
+        # every x where it is at least 1e-300; a plain exp is off by 5.6e-14
+        import mpmath
+
+        subnormal = [5e-324, 1e-321, 1e-315, 1e-310, 2.2250738585072014e-308]
+        xs = np.concatenate([subnormal, np.logspace(-307.0, math.log10(2e6), 2000),
+                             np.linspace(1e5, 2e6, 1000)])
+        with mpmath.workdps(40):
+            expected = np.array([float(mpmath.exp(-mpmath.sqrt(mpmath.mpf(x)) / 2)) for x in xs])
+        keep = expected >= 1e-300
+        assert keep[:len(subnormal)].all() and not keep.all()
+        got = _exp_minus_half_sqrt(xs[keep], np.sqrt(xs[keep]))
+        assert np.max(np.abs(got / expected[keep] - 1.0)) <= 1e-15
 
     @pytest.mark.parametrize("nu", [(3.0, 4.0), (20.0, 20.0), (0.2, 2.0), (3.0, 5.0), (0.5, 0.5)])
     def test_extreme_arguments(self, nu):
